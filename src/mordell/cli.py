@@ -11,8 +11,9 @@ canonical strings ("129/100", "-3", "0"), the same form the outputs use.
 Flags go after the final subcommand: mordell point add P Q --spec f.json.
 
 Exit codes: 0 success, 2 invalid input (bad spec file, off-variety point,
-malformed formula), 3 resource ceiling (a quotient or residue enumeration
-would exceed the configured ceiling).
+malformed formula), 3 resource ceiling (a quotient or residue enumeration or
+a coefficient box search would exceed the configured ceiling, or a point is
+too long to print).
 
 --machine switches to line-delimited JSON records with fixed field names;
 field order is part of the format.  Human output is meant for eyeballs and
@@ -466,7 +467,9 @@ def cmd_ml(args, cfg: RunConfig, gamma: GammaSpec) -> None:
     p = parse_poly(args.poly, 2 * n)
     if args.ml_op == "solve":
         skipped: list = []
-        sols = ml_checker.solutions_bounded(gamma, p, n, cfg.coeff_bound, skipped)
+        sols = ml_checker.solutions_bounded(
+            gamma, p, n, cfg.coeff_bound, skipped, max_size=cfg.ceiling
+        )
         if cfg.machine:
             _emit(
                 {
@@ -484,7 +487,9 @@ def cmd_ml(args, cfg: RunConfig, gamma: GammaSpec) -> None:
             print(f"solutions: {len(sols)}, skipped: {len(skipped)}")
     elif args.ml_op == "verify":
         d = _read_decomposition(args.decomposition)
-        verdict = ml_checker.verify_decomposition(gamma, p, n, d, cfg.coeff_bound)
+        verdict = ml_checker.verify_decomposition(
+            gamma, p, n, d, cfg.coeff_bound, max_size=cfg.ceiling
+        )
         if cfg.machine:
             record = {
                 "command": "ml-verify",
@@ -505,7 +510,9 @@ def cmd_ml(args, cfg: RunConfig, gamma: GammaSpec) -> None:
         else:
             print(str(verdict))
     else:
-        out = ml_checker.suggest_decomposition(gamma, p, n, cfg.coeff_bound)
+        out = ml_checker.suggest_decomposition(
+            gamma, p, n, cfg.coeff_bound, max_size=cfg.ceiling
+        )
         if cfg.machine:
             record = {
                 "command": "ml-suggest",
@@ -556,7 +563,7 @@ def cmd_eval(args, cfg: RunConfig, gamma: GammaSpec) -> None:
         xs: list[Fraction] = []
     else:
         xs = [parse_rational(s.strip()) for s in args.x.split(",")]
-    res = eval_formula(gamma, f, xs, cfg.coeff_bound)
+    res = eval_formula(gamma, f, xs, cfg.coeff_bound, max_size=cfg.ceiling)
     if cfg.machine:
         record = {
             "command": "eval",
@@ -686,7 +693,10 @@ def _common_parser() -> argparse.ArgumentParser:
         "--ceiling",
         type=int,
         default=DEFAULT_QUOTIENT_CEILING,
-        help="largest residue enumeration allowed before giving up (exit 3)",
+        help=(
+            "largest residue enumeration or coefficient box search "
+            "(ml solve/verify/suggest, eval) allowed before giving up (exit 3)"
+        ),
     )
     common.add_argument(
         "--machine", action="store_true", help="line-delimited JSON output"

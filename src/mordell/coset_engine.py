@@ -155,14 +155,6 @@ class CosetUnion:
     def residue_set(self) -> frozenset[Residue]:
         return frozenset(self.residues)
 
-    def representatives(self) -> list[tuple[Residue, tuple[GroupPoint, ...]]]:
-        """The designated representative of each class, realized in Gamma^n."""
-        desc = self.gamma.gamma_mod(self.modulus)
-        return [
-            (res, tuple(self.gamma.realize(desc.lift(v)) for v in res))
-            for res in self.residues
-        ]
-
 
 def _make(
     gamma: GammaSpec,

@@ -21,7 +21,8 @@ class PreconditionError(RuntimeError):
 
 
 class QuotientCeilingError(RuntimeError):
-    """A quotient or residue enumeration would exceed the configured ceiling."""
+    """A quotient, residue or coefficient-box enumeration would exceed the
+    configured ceiling, or a number has too many digits to print."""
 
     def __init__(self, attempted: int, ceiling: int):
         self.attempted = attempted

@@ -217,67 +217,3 @@ def sum_of_squares_combine(polys: Iterable[MultiPoly]) -> MultiPoly:
             raise InputError(f"arity mismatch: {p.arity} vs {arity}")
         acc = acc + p * p
     return acc
-
-
-def partial_evaluate(q: MultiPoly, tail_values: Sequence) -> MultiPoly:
-    """Substitute rationals for the trailing variables of q.
-
-    With q in variables (X_1..X_s, Y_1..Y_t) and len(tail_values) == t the
-    result is a polynomial in X alone.  Used to pin auxiliary coordinates to
-    known group-element coordinates.
-    """
-    t = len(tail_values)
-    if t > q.arity:
-        raise InputError(f"cannot substitute {t} values into arity {q.arity}")
-    vals = [_as_fraction(v) for v in tail_values]
-    head = q.arity - t
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in q.terms.items():
-        c = coeff
-        for v, e in zip(vals, exps[head:]):
-            if e:
-                c *= v ** e
-        if c == 0:
-            continue
-        key = exps[:head]
-        acc[key] = acc.get(key, Fraction(0)) + c
-    return MultiPoly(head, acc)
-
-
-def grlex_key(exps: tuple[int, ...]) -> tuple:
-    """Sort key for graded lexicographic order (use with reverse=True)."""
-    return (sum(exps), exps)
-
-
-def format_poly(p: MultiPoly, names: Sequence[str] | None = None) -> str:
-    """Human-readable canonical form, graded-lex term order, explicit signs.
-
-    e.g. "x1^3 - 2*x1*x2 + 5/2".  The zero polynomial prints as "0".
-    """
-    if names is None:
-        names = [f"x{i + 1}" for i in range(p.arity)]
-    elif len(names) != p.arity:
-        raise InputError(f"{len(names)} names supplied for arity {p.arity}")
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for exps in sorted(p.terms, key=grlex_key, reverse=True):
-        coeff = p.terms[exps]
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)

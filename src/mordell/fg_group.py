@@ -242,18 +242,17 @@ class GammaSpec:
         if r == 0 or self.audit_bound < 1:
             return
         backend_torsion = set(_span(self.backend, torsion_subgroup(self.backend).generators))
-        b = self.audit_bound
-        for k in itertools.product(range(-b, b + 1), repeat=r):
-            if not any(k):
-                continue
-            s: GroupPoint = IDENTITY
-            for i, ki in enumerate(k):
-                s = _add_raw(self.backend, s, self._free_multiple(i, ki))
-            if s in backend_torsion:
-                rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
-                raise SpecValidationError(
-                    f"free generators fail the independence audit: {rel} is torsion"
-                )
+        # shell order reports a relation of least max-norm
+        for m in range(1, self.audit_bound + 1):
+            for k in shell(r, m):
+                s: GroupPoint = IDENTITY
+                for i, ki in enumerate(k):
+                    s = _add_raw(self.backend, s, self._free_multiple(i, ki))
+                if s in backend_torsion:
+                    rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
+                    raise SpecValidationError(
+                        f"free generators fail the independence audit: {rel} is torsion"
+                    )
 
     # -- basic structure -------------------------------------------------------
 
@@ -300,8 +299,9 @@ class GammaSpec:
                 cache[c] = acc
         return cache[t]
 
-    def realize(self, coords: Coords) -> GroupPoint:
-        """Sum of coefficient multiples of the generators, exactly."""
+    def check_coords(self, coords: Coords) -> None:
+        """Reject coords that do not fit the rank and torsion factors or are
+        not integers."""
         if len(coords.free) != self.rank or len(coords.torsion) != len(
             self.torsion_factors
         ):
@@ -311,6 +311,10 @@ class GammaSpec:
             )
         if any(not isinstance(c, int) for c in coords.free + coords.torsion):
             raise InputError(f"coords must be integers: {coords}")
+
+    def realize(self, coords: Coords) -> GroupPoint:
+        """Sum of coefficient multiples of the generators, exactly."""
+        self.check_coords(coords)
         key = (coords.free, tuple(t % d for t, d in zip(coords.torsion, self.torsion_factors)))
         cached = self._realized.get(key)
         if cached is not None:
@@ -327,25 +331,44 @@ class GammaSpec:
 
     # -- canonical coordinate enumeration ---------------------------------------
 
+    def shell_coords(self, m: int) -> Iterator[Coords]:
+        """All coords with free max-norm exactly m: free vectors in shell
+        order, torsion residues lexicographic within each."""
+        tors_space = list(
+            itertools.product(*(range(d) for d in self.torsion_factors))
+        )
+        for free in shell(self.rank, m):
+            for t in tors_space:
+                yield Coords(free, t)
+
     def iter_coords(self, bound: int) -> Iterator[Coords]:
         """All coords with |free coefficient| <= bound, every torsion
         residue, in the canonical order: free max-norm shells ascending,
         lexicographic within a shell, torsion residues lexicographic."""
         if bound < 0:
             raise InputError("coefficient bound must be >= 0")
-        tors_space = list(
-            itertools.product(*(range(d) for d in self.torsion_factors))
-        )
-        if self.rank == 0:
-            for t in tors_space:
-                yield Coords((), t)
-            return
         for m in range(bound + 1):
-            for free in itertools.product(range(-m, m + 1), repeat=self.rank):
-                if max((abs(c) for c in free), default=0) != m:
-                    continue
-                for t in tors_space:
-                    yield Coords(free, t)
+            yield from self.shell_coords(m)
+
+    def box(
+        self, n: int, bound: int, max_size: int = DEFAULT_QUOTIENT_CEILING
+    ) -> Iterator[tuple[tuple[Coords, ...], tuple[GroupPoint, ...]]]:
+        """Every n-tuple of the coefficient box as (coords, points): each
+        slot in canonical order, slot 1 varying slowest.  The bound and the
+        box size (2*bound+1)^(rank*n) * |torsion|^n are checked against
+        max_size on the call; points are realized once iteration starts."""
+        if bound < 0:
+            raise InputError("coefficient bound must be >= 0")
+        size = ((2 * bound + 1) ** self.rank * math.prod(self.torsion_factors)) ** n
+        if size > max_size:
+            raise QuotientCeilingError(size, max_size)
+
+        def tuples():
+            slot = [(c, self.realize(c)) for c in self.iter_coords(bound)]
+            for combo in itertools.product(slot, repeat=n):
+                yield tuple(c for c, _ in combo), tuple(p for _, p in combo)
+
+        return tuples()
 
     def _ensure_index(self, bound: int) -> None:
         if bound <= self._index_bound:
@@ -361,6 +384,8 @@ class GammaSpec:
     def decompose(self, p: GroupPoint, bound: int = DEFAULT_COEFF_BOUND) -> Coords | Undecided:
         """Find coords realizing p with all |free coefficients| <= bound, by
         exhaustive shell search; Undecided(bound) when the box is exhausted."""
+        if bound < 0:
+            raise InputError("coefficient bound must be >= 0")
         group_core._require_on_variety(self.backend, p)
         self._ensure_index(bound)
         found = self._index.get(p)
@@ -452,8 +477,8 @@ class GammaSpec:
 
         for norm in range(1, shortest + 1):
             hits = []
-            for k in itertools.product(range(-norm, norm + 1), repeat=m):
-                if max(abs(x) for x in k) != norm or not in_kernel(k):
+            for k in shell(m, norm):
+                if not in_kernel(k):
                     continue
                 canon = k
                 first = next(x for x in k if x)
@@ -476,19 +501,11 @@ class GammaSpec:
         if height_bound < 0:
             raise InputError("height bound must be >= 0")
         out = []
-        if self.rank == 0:
-            for c in self.iter_coords(0):
-                p = self.realize(c)
-                if naive_height(p) <= height_bound:
-                    out.append((c, p))
-            return out
         misses = 0
         m = 0
         while misses < 2:
             hit = False
-            for c in self.iter_coords(m):
-                if c.max_norm() != m:
-                    continue
+            for c in self.shell_coords(m):
                 p = self.realize(c)
                 if naive_height(p) <= height_bound:
                     out.append((c, p))
@@ -560,6 +577,22 @@ class GammaSpec:
                 )
             )
         return AxiomsReport(density=density, checks=tuple(checks))
+
+
+def shell(rank: int, m: int) -> Iterator[tuple[int, ...]]:
+    """The integer vectors of length rank and max-norm exactly m, in
+    lexicographic order."""
+    if rank == 0:
+        if m == 0:
+            yield ()
+        return
+    for c in range(-m, m + 1):
+        if abs(c) == m:
+            rest = itertools.product(range(-m, m + 1), repeat=rank - 1)
+        else:
+            rest = shell(rank - 1, m)
+        for tail in rest:
+            yield (c, *tail)
 
 
 def _span(backend: Backend, gens: Sequence[GroupPoint]) -> list[GroupPoint]:

@@ -19,16 +19,14 @@ whose y-variables the body mentions.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
 from .exact_num import MultiPoly, _as_fraction, parse_rational, poly_eval
-from .fg_group import Coords, DEFAULT_COEFF_BOUND, GammaSpec
-from .group_core import GroupPoint, is_identity
+from .fg_group import DEFAULT_COEFF_BOUND, DEFAULT_QUOTIENT_CEILING, GammaSpec
+from .group_core import GroupPoint, affine_values, is_identity
 
 __all__ = [
     "ParseError",
@@ -577,12 +575,14 @@ def eval_block(
     x_assign: Sequence,
     bound: int = DEFAULT_COEFF_BOUND,
     skipped: list | None = None,
+    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> TriBool:
     """Search the coefficient box for a witness tuple.
 
-    Candidates run in lexicographic coefficient order (slot 1 most
-    significant), so the reported witness is the least one.  Exhaustion is
-    Unknown, never False: the group is infinite and the search is not.
+    Candidates run in the box's canonical shell order (slot 1 varying
+    slowest), so a one-element block reports the witness of least
+    max-norm, and that witness stays put as the bound grows.  Exhaustion
+    is Unknown, never False: the group is infinite and the search is not.
     """
     body_arity = _qf_arity(block.body)
     s = body_arity - 2 * block.n
@@ -592,23 +592,12 @@ def eval_block(
         raise InputError(f"expected {s} free values, got {len(x_assign)}")
     xs = [_as_fraction(v) for v in x_assign]
     slot_used = _block_slots_used(block, s)
-    candidates = sorted(
-        gamma.iter_coords(bound), key=lambda c: (c.free, c.torsion)
-    )
-    realized = [(c, gamma.realize(c)) for c in candidates]
-    for combo in itertools.product(realized, repeat=block.n):
-        points = tuple(p for _, p in combo)
+    for _, points in gamma.box(block.n, bound, max_size):
         if any(u and is_identity(p) for u, p in zip(slot_used, points)):
             if skipped is not None:
                 skipped.append(points)
             continue
-        vals = list(xs)
-        for p in points:
-            if is_identity(p):
-                vals.extend((Fraction(0), Fraction(0)))
-            else:
-                vals.extend((p.x, p.y))
-        if block.body.evaluate(vals):
+        if block.body.evaluate(xs + affine_values(points)):
             return _tb_true((points,))
     return _tb_unknown(bound)
 
@@ -626,24 +615,26 @@ def eval_formula(
     f: Formula,
     x_assign: Sequence,
     bound: int = DEFAULT_COEFF_BOUND,
+    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> TriBool:
     """Kleene strong three-valued evaluation, short-circuiting as soon as a
-    connective's value is determined."""
+    connective's value is determined.  Each block's box is held to
+    max_size."""
     if len(x_assign) != f.free_arity:
         raise InputError(
             f"expected {f.free_arity} free values, got {len(x_assign)}"
         )
     xs = [_as_fraction(v) for v in x_assign]
-    return _eval_node(gamma, f.root, xs, bound)
+    return _eval_node(gamma, f.root, xs, bound, max_size)
 
 
-def _eval_node(gamma, node, xs, bound: int) -> TriBool:
+def _eval_node(gamma, node, xs, bound: int, max_size: int) -> TriBool:
     if isinstance(node, (Cmp, QAnd, QOr, QNot)):
         return _tb_true() if node.evaluate(xs) else TB_FALSE
     if isinstance(node, Block):
-        return eval_block(gamma, node, xs, bound)
+        return eval_block(gamma, node, xs, bound, max_size=max_size)
     if isinstance(node, FNot):
-        inner = _eval_node(gamma, node.part, xs, bound)
+        inner = _eval_node(gamma, node.part, xs, bound, max_size)
         if inner.is_true():
             return TB_FALSE
         if inner.is_false():
@@ -653,7 +644,7 @@ def _eval_node(gamma, node, xs, bound: int) -> TriBool:
         witnesses = []
         saw_unknown = False
         for part in node.parts:
-            v = _eval_node(gamma, part, xs, bound)
+            v = _eval_node(gamma, part, xs, bound, max_size)
             if v.is_false():
                 return TB_FALSE
             if v.is_true():
@@ -664,7 +655,7 @@ def _eval_node(gamma, node, xs, bound: int) -> TriBool:
     if isinstance(node, FOr):
         saw_unknown = False
         for part in node.parts:
-            v = _eval_node(gamma, part, xs, bound)
+            v = _eval_node(gamma, part, xs, bound, max_size)
             if v.is_true():
                 return v
             if not v.is_false():

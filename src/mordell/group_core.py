@@ -11,11 +11,12 @@ operation, so it never appears as an Affine value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, QuotientCeilingError
 from .exact_num import _as_fraction, parse_rational
 
 # -- backends ---------------------------------------------------------------
@@ -188,6 +189,19 @@ def naive_height(p: GroupPoint) -> int:
     if is_identity(p):
         return 0
     return max(abs(p.x.numerator), p.x.denominator)
+
+
+def affine_values(points: Sequence[GroupPoint]) -> list[Fraction]:
+    """x then y of each point, in order.  The identity has no affine
+    coordinates and stands in as (0, 0); callers only evaluate it where the
+    condition ignores that slot."""
+    vals: list[Fraction] = []
+    for p in points:
+        if is_identity(p):
+            vals.extend((Fraction(0), Fraction(0)))
+        else:
+            vals.extend((p.x, p.y))
+    return vals
 
 
 # -- exact square roots and enumeration --------------------------------------
@@ -451,9 +465,28 @@ def torsion_subgroup(backend: Backend) -> TorsionGroup:
 # -- text round-trip -----------------------------------------------------------
 
 
+def _decimal_digits(v: int) -> int:
+    v = abs(v)
+    digits = int((v.bit_length() - 1) * math.log10(2)) + 1
+    while v >= 10**digits:
+        digits += 1
+    return digits
+
+
 def format_point(p: GroupPoint) -> str:
+    """Canonical text of a point.  A coordinate too long for Python's
+    int-to-str digit limit raises QuotientCeilingError instead of the bare
+    ValueError str() would raise."""
     if is_identity(p):
         return "O"
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        for v in (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator):
+            # below 2**(3*limit) < 10**limit, str() is safe without counting
+            if v.bit_length() > 3 * limit:
+                digits = _decimal_digits(v)
+                if digits > limit:
+                    raise QuotientCeilingError(digits, limit)
     return f"({p.x}, {p.y})"
 
 
@@ -470,11 +503,3 @@ def parse_point(backend: Backend, text: str) -> GroupPoint:
     x = parse_rational(parts[0].strip())
     y = parse_rational(parts[1].strip())
     return point(backend, x, y)
-
-
-def iter_multiples(backend: Backend, p: GroupPoint) -> Iterator[GroupPoint]:
-    """0, p, 2p, 3p, ... computed incrementally."""
-    acc: GroupPoint = IDENTITY
-    while True:
-        yield acc
-        acc = _add_raw(backend, acc, p)

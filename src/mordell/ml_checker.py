@@ -17,13 +17,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, QuotientCeilingError
 from .exact_num import MultiPoly, poly_eval
-from .fg_group import Coords, DEFAULT_COEFF_BOUND, GammaSpec
-from .group_core import GroupPoint, IDENTITY, _add_raw, is_identity, scalar_mul
+from .fg_group import Coords, DEFAULT_COEFF_BOUND, DEFAULT_QUOTIENT_CEILING, GammaSpec
+from .group_core import (
+    GroupPoint,
+    IDENTITY,
+    _add_raw,
+    affine_values,
+    is_identity,
+    scalar_mul,
+)
 from .intlinalg import ZLattice, kernel_basis
 
 __all__ = [
@@ -35,6 +41,7 @@ __all__ = [
     "MISSING_FROM_UNION",
     "NOT_A_SOLUTION",
     "character_image",
+    "in_coset",
     "solutions_bounded",
     "verify_decomposition",
     "suggest_decomposition",
@@ -105,31 +112,29 @@ def character_image(
     return acc
 
 
+def in_coset(
+    gamma: GammaSpec,
+    k: Sequence[int],
+    base: Sequence[Coords],
+    coords: Sequence[Coords],
+) -> bool:
+    """Whether the tuple with these coords lies in base + ker(k): the
+    combination k1*(c1 - b1) + ... + kn*(cn - bn) is zero in every free
+    coordinate and zero mod d_j in every torsion coordinate.  Coordinates
+    are trusted to fit gamma (see GammaSpec.check_coords)."""
+    for m in range(gamma.rank):
+        if sum(ki * (c.free[m] - b.free[m]) for ki, c, b in zip(k, coords, base)):
+            return False
+    for j, d in enumerate(gamma.torsion_factors):
+        if sum(ki * (c.torsion[j] - b.torsion[j]) for ki, c, b in zip(k, coords, base)) % d:
+            return False
+    return True
+
+
 def _slot_usage(p: MultiPoly, n: int) -> list[bool]:
     """Whether p mentions slot j's variables (positions 2j, 2j+1 zero-based)."""
     used = p.used_variables()
     return [(2 * j in used) or (2 * j + 1 in used) for j in range(n)]
-
-
-def _box(
-    gamma: GammaSpec, n: int, bound: int
-) -> Iterator[tuple[tuple[Coords, ...], tuple[GroupPoint, ...]]]:
-    """All tuples in the coefficient box, canonical per-slot order, slot 1
-    varying slowest."""
-    slot = [(c, gamma.realize(c)) for c in gamma.iter_coords(bound)]
-    for combo in itertools.product(slot, repeat=n):
-        yield tuple(c for c, _ in combo), tuple(p for _, p in combo)
-
-
-def _coord_vector(points: Sequence[GroupPoint]) -> list[Fraction]:
-    vals: list[Fraction] = []
-    for p in points:
-        if is_identity(p):
-            # only reached when the polynomial ignores this slot
-            vals.extend((Fraction(0), Fraction(0)))
-        else:
-            vals.extend((p.x, p.y))
-    return vals
 
 
 def _classify(
@@ -139,7 +144,7 @@ def _classify(
 ) -> str:
     if any(u and is_identity(pt) for u, pt in zip(slot_used, points)):
         return "skipped"
-    if poly_eval(p, _coord_vector(points)) == 0:
+    if poly_eval(p, affine_values(points)) == 0:
         return "solution"
     return "other"
 
@@ -150,17 +155,19 @@ def solutions_bounded(
     n: int,
     bound: int = DEFAULT_COEFF_BOUND,
     skipped: list | None = None,
+    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> list[tuple[GroupPoint, ...]]:
     """Every tuple in the coefficient box realizing an exact zero of p, in
     the canonical enumeration order.  Tuples falling under the identity
-    convention go to `skipped` (when given) instead of being judged."""
+    convention go to `skipped` (when given) instead of being judged.  A box
+    larger than max_size raises QuotientCeilingError."""
     if n < 1:
         raise InputError("arity must be >= 1")
     if p.arity != 2 * n:
         raise InputError(f"polynomial arity {p.arity}, expected {2 * n}")
     slot_used = _slot_usage(p, n)
     out = []
-    for _, points in _box(gamma, n, bound):
+    for _, points in gamma.box(n, bound, max_size):
         verdict = _classify(p, slot_used, points)
         if verdict == "solution":
             out.append(points)
@@ -176,13 +183,14 @@ def verify_decomposition(
     d: MLDecomposition,
     bound: int = DEFAULT_COEFF_BOUND,
     skipped: list | None = None,
+    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> Verdict:
     """Check both inclusions over the coefficient box.
 
     A tuple belongs to base + ker(character) exactly when
-    character(tuple) = character(base); that equation is evaluated with
-    the group laws, so no decomposition search is involved.  The first
-    failing tuple in enumeration order becomes the Counterexample:
+    character(tuple) = character(base); that equation is decided in
+    coordinates (in_coset), so no decomposition search is involved.  The
+    first failing tuple in enumeration order becomes the Counterexample:
     a solution matching no pair (missing-from-union), or a non-solution
     matching some pair (not-a-solution).  Skipped tuples (identity
     convention) are exempt from both directions.
@@ -192,20 +200,16 @@ def verify_decomposition(
     for base, k in d.pairs:
         if len(k) != n:
             raise InputError(f"character {k} has arity {len(k)}, expected {n}")
+        for c in base:
+            gamma.check_coords(c)
     slot_used = _slot_usage(p, n)
-    targets = [
-        (k, character_image(gamma, k, [gamma.realize(c) for c in base]))
-        for base, k in d.pairs
-    ]
-    for _, points in _box(gamma, n, bound):
+    for coords, points in gamma.box(n, bound, max_size):
         verdict = _classify(p, slot_used, points)
         if verdict == "skipped":
             if skipped is not None:
                 skipped.append(points)
             continue
-        in_union = any(
-            character_image(gamma, k, points) == target for k, target in targets
-        )
+        in_union = any(in_coset(gamma, k, base, coords) for base, k in d.pairs)
         if verdict == "solution" and not in_union:
             return Counterexample(points, MISSING_FROM_UNION)
         if verdict == "other" and in_union:
@@ -241,6 +245,7 @@ def suggest_decomposition(
     p: MultiPoly,
     n: int,
     bound: int = DEFAULT_COEFF_BOUND,
+    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> MLDecomposition | Inconclusive:
     """Guess a decomposition from the box solutions and keep it only if it
     verifies at the same bound.
@@ -252,16 +257,21 @@ def suggest_decomposition(
     if every box tuple it captures is a solution (or skipped), which makes
     the final verification succeed by construction.  Existence of a true
     finite decomposition gives no bound, so failure here is Inconclusive,
-    never a refutation.
+    never a refutation.  Both the box and the doubled window are checked
+    against max_size first.
     """
     if p.arity != 2 * n:
         raise InputError(f"polynomial arity {p.arity}, expected {2 * n}")
     slot_used = _slot_usage(p, n)
     r = gamma.rank
+    box = gamma.box(n, bound, max_size)
+    window = (4 * bound + 1) ** (r * n)
+    if window > max_size:
+        raise QuotientCeilingError(window, max_size)
 
     entries = []  # (coords, points, class)
     classes: dict[tuple, str] = {}
-    for coords, points in _box(gamma, n, bound):
+    for coords, points in box:
         v = _classify(p, slot_used, points)
         entries.append((coords, points, v))
         classes[(_free_concat(coords), _tors_concat(coords))] = v
@@ -292,59 +302,19 @@ def suggest_decomposition(
         return True
 
     def coset_ok(k: tuple[int, ...], anchor: tuple[Coords, ...]) -> bool:
-        """Every box tuple with character(t) = character(anchor) must be a
-        solution or skipped; checked in coordinates."""
-        anchor_free = _free_concat(anchor)
-        anchor_tors = [c.torsion for c in anchor]
-        for coords, _, verdict in entries:
-            free = _free_concat(coords)
-            # chi_k difference in free coordinates
-            if any(
-                sum(ki * (f[m] - a[m]) for ki, f, a in zip(
-                    k,
-                    [free[i * r:(i + 1) * r] for i in range(n)],
-                    [anchor_free[i * r:(i + 1) * r] for i in range(n)],
-                ))
-                for m in range(r)
-            ):
-                continue
-            match = True
-            for j, d in enumerate(gamma.torsion_factors):
-                diff = sum(
-                    ki * (c.torsion[j] - a[j])
-                    for ki, c, a in zip(k, coords, anchor_tors)
-                )
-                if diff % d:
-                    match = False
-                    break
-            if match and verdict == "other":
-                return False
-        return True
+        """Every box tuple in anchor + ker(k) must be a solution or
+        skipped."""
+        return not any(
+            verdict == "other" and in_coset(gamma, k, anchor, coords)
+            for coords, _, verdict in entries
+        )
 
     def captured(k: tuple[int, ...], anchor: tuple[Coords, ...]) -> set:
-        got = set()
-        anchor_free = _free_concat(anchor)
-        anchor_tors = [c.torsion for c in anchor]
-        for coords, pts in solutions:
-            free = _free_concat(coords)
-            if any(
-                sum(ki * (f[m] - a[m]) for ki, f, a in zip(
-                    k,
-                    [free[i * r:(i + 1) * r] for i in range(n)],
-                    [anchor_free[i * r:(i + 1) * r] for i in range(n)],
-                ))
-                for m in range(r)
-            ):
-                continue
-            if all(
-                sum(
-                    ki * (c.torsion[j] - a[j])
-                    for ki, c, a in zip(k, coords, anchor_tors)
-                ) % d == 0
-                for j, d in enumerate(gamma.torsion_factors)
-            ):
-                got.add((_free_concat(coords), _tors_concat(coords)))
-        return got
+        return {
+            (_free_concat(coords), _tors_concat(coords))
+            for coords, _ in solutions
+            if in_coset(gamma, k, anchor, coords)
+        }
 
     pairs = []
     unexplained = list(solutions)
@@ -389,7 +359,7 @@ def suggest_decomposition(
             if (_free_concat(c), _tors_concat(c)) not in got
         ]
     d = MLDecomposition(tuple(pairs))
-    verdict = verify_decomposition(gamma, p, n, d, bound)
+    verdict = verify_decomposition(gamma, p, n, d, bound, max_size=max_size)
     if isinstance(verdict, Verified):
         return d
     return Inconclusive(

@@ -311,6 +311,22 @@ def test_suggest_verify_round_trip(spec_dir, capsys, tmp_path):
             "exceeds ceiling 1000000",
         ),
         ("m2.json", ["eval", "(= x1 0)", "--x", "nope"], 2, ""),
+        ("m2.json", ["point", "decompose", "(3, 5)", "--bound", "-3"], 2, "bound must be >= 0"),
+        (
+            "m2.json",
+            ["ml", "verify", "(- x1 x3)", "--slots", "2", "--decomposition",
+             '{"pairs": [{"base": [{"free": [0, 1], "tors": []}, '
+             '{"free": [0], "tors": []}], "k": [1, -1]}]}'],
+            2,
+            "do not fit rank 1",
+        ),
+        (
+            "m2.json",
+            ["ml", "solve", "(- x1 x3)", "--slots", "3", "--bound", "500"],
+            3,
+            "exceeds ceiling 1000000",
+        ),
+        ("m2.json", ["point", "mul", "80", "(3, 5)"], 3, "exceeds ceiling"),
     ],
 )
 def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
@@ -367,6 +383,28 @@ def test_ceiling_flag_is_honored(spec_dir, capsys):
     assert rc == 3
     assert out == ""
     assert "exceeds ceiling 3" in err
+
+
+@pytest.mark.parametrize(
+    "args,ceiling",
+    [
+        # 7^2 = 49 box tuples
+        (["ml", "solve", "(- x2 x4)", "--slots", "2", "--bound", "3"], "48"),
+        (["ml", "verify", "(- x2 x4)", "--slots", "2", "--bound", "3",
+          "--decomposition", '{"pairs": []}'], "48"),
+        # the box fits, the doubled window of 13^2 = 169 tuples does not
+        (["ml", "suggest", "(- x2 x4)", "--slots", "2", "--bound", "3"], "168"),
+        # 33 candidates at the default bound 16
+        (["eval", "(exists-gamma 1 (= x1 y1))", "--x", "3"], "32"),
+    ],
+)
+def test_box_searches_obey_ceiling(args, ceiling, spec_dir, capsys):
+    argv = args + ["--spec", str(spec_dir / "m2.json"), "--no-cache"]
+    rc, out, err = run_cli(capsys, argv + ["--ceiling", ceiling])
+    assert (rc, out) == (3, "")
+    assert err.splitlines() == [f"error: residue enumeration of size {int(ceiling) + 1} exceeds ceiling {ceiling}"]
+    rc, _, _ = run_cli(capsys, argv + ["--ceiling", str(int(ceiling) + 1)])
+    assert rc == 0
 
 
 # -- cache behaviour ----------------------------------------------------------------

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from mordell.errors import InputError
 from mordell.exact_num import (
     MultiPoly,
-    format_poly,
     format_rational,
     parse_rational,
-    partial_evaluate,
     poly_eval,
     sum_of_squares_combine,
 )
@@ -104,18 +102,3 @@ def test_sum_of_squares_combine():
     assert poly_eval(s, (0, 0)) == 0
     assert poly_eval(s, (1, 0)) != 0
     assert poly_eval(s, (0, 1)) != 0
-
-
-def test_partial_evaluate_pins_trailing_variables():
-    x = MultiPoly.variable(3, 0)
-    z = MultiPoly.variable(3, 2)
-    p = x * z + z * z
-    q = partial_evaluate(p, [Fraction(2)])
-    assert q.arity == 2
-    assert q == MultiPoly.variable(2, 0) * MultiPoly.constant(2, 2) + MultiPoly.constant(2, 4)
-
-
-def test_format_poly_names():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
-    assert format_poly(x * x - y, ["x", "y"]) == "x^2 - y"

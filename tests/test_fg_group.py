@@ -15,6 +15,7 @@ from mordell.group_core import (
     add,
     format_point,
     is_identity,
+    make_curve,
     negate,
     point,
     scalar_mul,
@@ -39,6 +40,15 @@ def test_dependent_generators_fail_audit(curve_m2):
     p = point(curve_m2, 3, 5)
     with pytest.raises(SpecValidationError):
         GammaSpec(curve_m2, [p, scalar_mul(curve_m2, 2, p)])
+
+
+def test_audit_reports_a_relation_of_least_norm():
+    # 2*g1 + g2 = O on y^2 = x^3 - 7x + 10; a lexicographic scan of the
+    # audit box would first meet the multiple -8*g1 - 4*g2
+    curve = make_curve(-7, 10)
+    with pytest.raises(SpecValidationError) as exc:
+        GammaSpec(curve, [point(curve, 1, 2), point(curve, -1, 4)])
+    assert str(exc.value).endswith(": -2*g1 + -1*g2 is torsion")
 
 
 def test_coords_rendering():

@@ -143,15 +143,24 @@ def test_eval_true_with_witness(gamma_p):
     assert [format_point(q) for q in res.witnesses[0]] == ["(3, -5)"]
 
 
-def test_witness_is_lex_least(gamma_p):
-    # both P and -P match x = 3; the candidate order is by coefficient
-    # vector, so -1 (the point (3, -5)) comes first
+def test_witness_is_first_in_shell_order(gamma_p):
+    # both P and -P match x = 3; within the shell of norm 1 the coefficient
+    # -1 (the point (3, -5)) comes first
     f = parse("(exists-gamma 1 (= x1 y1))")
     res = eval_formula(gamma_p, f, [Fraction(3)], 16)
     assert format_point(res.witnesses[0][0]) == "(3, -5)"
     g = parse("(exists-gamma 1 (and (= x1 y1) (= x2 y2)))")
     res = eval_formula(gamma_p, g, [Fraction(3), Fraction(5)], 16)
     assert format_point(res.witnesses[0][0]) == "(3, 5)"
+
+
+def test_witness_does_not_move_with_the_bound(gamma_p):
+    # shell order tries small coefficients first, so a larger box only
+    # appends candidates after the witness found in a smaller one
+    f = parse("(exists-gamma 1 (< 0 y2))")
+    for b in (2, 4):
+        res = eval_formula(gamma_p, f, [], b)
+        assert [format_point(q) for q in res.witnesses[0]] == ["(3, 5)"]
 
 
 def test_eval_unknown(gamma_p):

@@ -15,6 +15,7 @@ from mordell.ml_checker import (
     NOT_A_SOLUTION,
     Verified,
     character_image,
+    in_coset,
     solutions_bounded,
     suggest_decomposition,
     verify_decomposition,
@@ -135,6 +136,21 @@ def test_overclaiming_union_yields_not_a_solution(gamma_p):
         for k in [(1, -1), (1, 1)]
     )
     assert in_some_coset
+
+
+@pytest.mark.parametrize("which", ["gamma_p", "gamma_circle"])
+def test_in_coset_agrees_with_group_law(which, request):
+    # the coordinate predicate against character images computed with
+    # scalar_mul; the circle's Z/4 torsion makes k = 2 a real test
+    gamma = request.getfixturevalue(which)
+    box = list(gamma.box(2, 2))
+    bases = [box[0][0], box[7][0], box[-1][0]]
+    for k in [(1, -1), (2, 1), (0, 2), (2, 2)]:
+        for base in bases:
+            target = character_image(gamma, k, [gamma.realize(c) for c in base])
+            for coords, points in box:
+                expect = character_image(gamma, k, points) == target
+                assert in_coset(gamma, k, base, coords) == expect
 
 
 def test_identity_slots_skip_both_directions(gamma_p):
