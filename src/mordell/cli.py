@@ -372,7 +372,7 @@ def cmd_point(args, cfg: RunConfig, gamma: GammaSpec) -> None:
         else:
             print(format_point(r))
     else:
-        c = gamma.decompose(parse_point(backend, args.p), cfg.coeff_bound)
+        c = gamma.decompose(parse_point(backend, args.p), cfg.coeff_bound, cfg.ceiling)
         if cfg.machine:
             record = {"command": "point-decompose", "bound": cfg.coeff_bound}
             if isinstance(c, Undecided):
@@ -695,7 +695,8 @@ def _common_parser() -> argparse.ArgumentParser:
         default=DEFAULT_QUOTIENT_CEILING,
         help=(
             "largest residue enumeration or coefficient box search "
-            "(ml solve/verify/suggest, eval) allowed before giving up (exit 3)"
+            "(ml solve/verify/suggest, eval, point decompose) allowed before "
+            "giving up (exit 3)"
         ),
     )
     common.add_argument(

@@ -370,25 +370,38 @@ class GammaSpec:
 
         return tuples()
 
-    def _ensure_index(self, bound: int) -> None:
-        if bound <= self._index_bound:
-            return
-        # first hit in canonical order is the minimal-norm representative
-        for c in self.iter_coords(bound):
-            p = self.realize(c)
-            self._index.setdefault(p, c)
-        self._index_bound = bound
-
     # -- decompose and friends ----------------------------------------------------
 
-    def decompose(self, p: GroupPoint, bound: int = DEFAULT_COEFF_BOUND) -> Coords | Undecided:
+    def decompose(
+        self,
+        p: GroupPoint,
+        bound: int = DEFAULT_COEFF_BOUND,
+        max_size: int = DEFAULT_QUOTIENT_CEILING,
+    ) -> Coords | Undecided:
         """Find coords realizing p with all |free coefficients| <= bound, by
-        exhaustive shell search; Undecided(bound) when the box is exhausted."""
+        shell search; Undecided(bound) when the box is exhausted.
+
+        The point index grows one shell at a time (_index_bound is the last
+        shell fully indexed) and the search stops at the first shell that
+        holds p.  Shells ascend and the first coords seen are kept, so the
+        answer is the minimal-norm representative.  Indexing a shell m whose
+        box (2m+1)^rank * |torsion| exceeds max_size raises
+        QuotientCeilingError; a hit in a lower shell is still answered."""
         if bound < 0:
             raise InputError("coefficient bound must be >= 0")
         group_core._require_on_variety(self.backend, p)
-        self._ensure_index(bound)
         found = self._index.get(p)
+        # with no free generators every shell past 0 is empty
+        last = bound if self.rank else 0
+        while found is None and self._index_bound < last:
+            m = self._index_bound + 1
+            size = (2 * m + 1) ** self.rank * math.prod(self.torsion_factors)
+            if size > max_size:
+                raise QuotientCeilingError(size, max_size)
+            for c in self.shell_coords(m):
+                self._index.setdefault(self.realize(c), c)
+            self._index_bound = m
+            found = self._index.get(p)
         if found is not None and found.max_norm() <= bound:
             return found
         return Undecided(bound)

@@ -264,6 +264,39 @@ class ZLattice:
             v = [v[j] - q * row[j] for j in range(self.dim)]
         return all(x == 0 for x in v)
 
+    def coset_points(self, anchor, radius: int):
+        """The points of anchor + L inside [-radius, radius]^dim, in
+        lexicographic order, straight from the echelon basis.
+
+        Pivots are positive and strictly increasing, so a point's order is
+        the order of its multipliers (c_1, c_2, ...): c_i alone moves the
+        pivot column of row i, and its range is read off that column.  The
+        columns between two pivots are settled once the earlier multiplier
+        is chosen and are checked right then."""
+        anchor = list(map(int, anchor))
+        if len(anchor) != self.dim:
+            raise InputError(f"vector length {len(anchor)} != lattice dim {self.dim}")
+        basis = self._basis
+        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+        # row i settles the columns from its pivot up to the next pivot
+        ends = pivots[1:] + [self.dim]
+
+        def inside(v, lo, hi):
+            return all(-radius <= v[j] <= radius for j in range(lo, hi))
+
+        def walk(i, v):
+            if i == len(basis):
+                yield tuple(v)
+                return
+            row, col = basis[i], pivots[i]
+            for c in range(-((radius + v[col]) // row[col]), (radius - v[col]) // row[col] + 1):
+                w = [x + c * y for x, y in zip(v, row)]
+                if inside(w, col + 1, ends[i]):
+                    yield from walk(i + 1, w)
+
+        if inside(anchor, 0, pivots[0] if basis else self.dim):
+            yield from walk(0, anchor)
+
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""

@@ -15,7 +15,6 @@ bound it was checked at and promises nothing beyond it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -203,8 +202,21 @@ def verify_decomposition(
         for c in base:
             gamma.check_coords(c)
     slot_used = _slot_usage(p, n)
-    for coords, points in gamma.box(n, bound, max_size):
-        verdict = _classify(p, slot_used, points)
+    box = gamma.box(n, bound, max_size)
+    classified = ((c, pts, _classify(p, slot_used, pts)) for c, pts in box)
+    return _check_union(gamma, d, classified, bound, skipped)
+
+
+def _check_union(
+    gamma: GammaSpec,
+    d: MLDecomposition,
+    classified,
+    bound: int,
+    skipped: list | None = None,
+) -> Verdict:
+    """Both inclusions over (coords, points, class) triples in enumeration
+    order; the first failing tuple becomes the Counterexample."""
+    for coords, points, verdict in classified:
         if verdict == "skipped":
             if skipped is not None:
                 skipped.append(points)
@@ -250,15 +262,19 @@ def suggest_decomposition(
     """Guess a decomposition from the box solutions and keep it only if it
     verifies at the same bound.
 
-    Solutions sharing torsion residues are clustered greedily: a difference
-    vector joins the cluster's lattice only if the whole lattice coset
-    (within the box) stays inside the solution set.  The cluster's lattice
-    is then cut by one annihilator character; a character is accepted only
-    if every box tuple it captures is a solution (or skipped), which makes
-    the final verification succeed by construction.  Existence of a true
-    finite decomposition gives no bound, so failure here is Inconclusive,
-    never a refutation.  Both the box and the doubled window are checked
-    against max_size first.
+    Every box tuple is classified once.  Solutions sharing torsion residues
+    are clustered greedily: a difference vector joins the cluster's lattice
+    only if the whole lattice coset, enumerated from its echelon basis over
+    the doubled window, stays inside the solution set.  The cluster's
+    lattice is then cut by one annihilator character; a character is
+    accepted only if every box tuple it captures is a solution (or
+    skipped).  The candidate is then re-verified in both inclusions over
+    the whole box, from the classes already computed: the polynomial is
+    deterministic, so re-evaluating it would only repeat the same verdicts.
+    Existence of a true finite decomposition gives no bound, so failure
+    here is Inconclusive, never a refutation.  Both the box and the doubled
+    window are checked against max_size first; a full-rank lattice still
+    visits every window point.
     """
     if p.arity != 2 * n:
         raise InputError(f"polynomial arity {p.arity}, expected {2 * n}")
@@ -270,22 +286,20 @@ def suggest_decomposition(
         raise QuotientCeilingError(window, max_size)
 
     entries = []  # (coords, points, class)
-    classes: dict[tuple, str] = {}
+    # keyed by the box's own coords tuples, so the box adds no new keys
+    classes: dict[tuple[Coords, ...], str] = {}
     for coords, points in box:
         v = _classify(p, slot_used, points)
         entries.append((coords, points, v))
-        classes[(_free_concat(coords), _tors_concat(coords))] = v
+        classes[coords] = v
     solutions = [(c, pts) for c, pts, v in entries if v == "solution"]
     if not solutions:
         return MLDecomposition(())
 
     def class_at(free: tuple[int, ...], tors) -> str:
-        key = (free, tors)
+        key = tuple(Coords(free[i * r : (i + 1) * r], tors[i]) for i in range(n))
         if key not in classes:
-            coords_t = tuple(
-                Coords(free[i * r : (i + 1) * r], tors[i]) for i in range(n)
-            )
-            pts = tuple(gamma.realize(cc) for cc in coords_t)
+            pts = tuple(gamma.realize(cc) for cc in key)
             classes[key] = _classify(p, slot_used, pts)
         return classes[key]
 
@@ -293,13 +307,13 @@ def suggest_decomposition(
         """The coset anchor + lattice must stay inside the solution set
         (skipped tuples allowed).  Checked on a doubled box: two genuine
         cosets can share every box point of a mixed lattice, and the wider
-        window rejects most such accidents."""
-        wide = 2 * bound
-        for w in itertools.product(range(-wide, wide + 1), repeat=r * n):
-            diff = tuple(a - b for a, b in zip(w, anchor_free))
-            if diff in lattice and class_at(tuple(w), anchor_tors) == "other":
-                return False
-        return True
+        window rejects most such accidents.  The coset's window points are
+        enumerated from the lattice's echelon basis in lexicographic order,
+        so only members of the coset are ever classified."""
+        return not any(
+            class_at(w, anchor_tors) == "other"
+            for w in lattice.coset_points(anchor_free, 2 * bound)
+        )
 
     def coset_ok(k: tuple[int, ...], anchor: tuple[Coords, ...]) -> bool:
         """Every box tuple in anchor + ker(k) must be a solution or
@@ -308,13 +322,6 @@ def suggest_decomposition(
             verdict == "other" and in_coset(gamma, k, anchor, coords)
             for coords, _, verdict in entries
         )
-
-    def captured(k: tuple[int, ...], anchor: tuple[Coords, ...]) -> set:
-        return {
-            (_free_concat(coords), _tors_concat(coords))
-            for coords, _ in solutions
-            if in_coset(gamma, k, anchor, coords)
-        }
 
     pairs = []
     unexplained = list(solutions)
@@ -352,14 +359,13 @@ def suggest_decomposition(
                 tuple(pts for _, pts in unexplained),
             )
         pairs.append((anchor_coords, chosen))
-        got = captured(chosen, anchor_coords)
         unexplained = [
             (c, pts)
             for c, pts in unexplained
-            if (_free_concat(c), _tors_concat(c)) not in got
+            if not in_coset(gamma, chosen, anchor_coords, c)
         ]
     d = MLDecomposition(tuple(pairs))
-    verdict = verify_decomposition(gamma, p, n, d, bound, max_size=max_size)
+    verdict = _check_union(gamma, d, entries, bound)
     if isinstance(verdict, Verified):
         return d
     return Inconclusive(

@@ -201,6 +201,35 @@ def test_decompose_undecided(spec_dir, capsys):
     assert out == "undecided(bound=16)\n"
 
 
+@pytest.mark.parametrize(
+    "spec,args,code,out",
+    [
+        # found in shell 1, so the search never indexes shell 300
+        ("m2.json", ["point", "decompose", "(3, 5)", "--bound", "300"], 0, "free=[1] tors=[]\n"),
+        # P is not in <2P>: shell 11's box of 23 exceeds the ceiling
+        ("m2-2p.json", ["point", "decompose", "(3, 5)", "--bound", "300", "--ceiling", "21"], 3, ""),
+        (
+            "m2-2p.json",
+            ["point", "decompose", "(129/100, -383/1000)", "--bound", "300", "--ceiling", "21"],
+            0,
+            "free=[1] tors=[]\n",
+        ),
+        # shell 10's box of 21 is within the ceiling
+        (
+            "m2-2p.json",
+            ["point", "decompose", "(3, 5)", "--bound", "10", "--ceiling", "21"],
+            0,
+            "undecided(bound=10)\n",
+        ),
+    ],
+)
+def test_decompose_searches_shells_under_ceiling(spec, args, code, out, spec_dir, capsys):
+    rc, got, err = run_cli(capsys, _argv(spec_dir, spec, args, ["--no-cache"]))
+    assert (rc, got) == (code, out)
+    if code == 3:
+        assert err.splitlines() == ["error: residue enumeration of size 23 exceeds ceiling 21"]
+
+
 def test_ml_verify_decomposition_inline(spec_dir, capsys):
     dec = json.dumps(
         {

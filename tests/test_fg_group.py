@@ -74,6 +74,29 @@ def test_decompose_unreachable_point(gamma_2p, curve_m2):
     assert res.bound == 8
 
 
+def test_decompose_stops_at_first_shell_holding_the_point(curve_m2):
+    gamma = GammaSpec(curve_m2, [point(curve_m2, 3, 5)], claimed_rank=1)
+    assert gamma.decompose(point(curve_m2, 3, 5), bound=300) == Coords((1,), ())
+    assert gamma._index_bound == 1
+    three_p = gamma.realize(Coords((3,), ()))
+    assert gamma.decompose(three_p, bound=5) == Coords((3,), ())
+    assert gamma._index_bound == 3
+    # an indexed hit beyond a smaller bound is still undecided there
+    assert gamma.decompose(three_p, bound=2) == Undecided(2)
+
+
+def test_decompose_ceiling_applies_to_shells_searched(curve_m2):
+    g = point(curve_m2, Fraction(129, 100), Fraction(-383, 1000))
+    gamma = GammaSpec(curve_m2, [g])
+    assert gamma.decompose(g, bound=300, max_size=3) == Coords((1,), ())
+    p = point(curve_m2, 3, 5)  # not in <2P>
+    assert gamma.decompose(p, bound=10, max_size=21) == Undecided(10)
+    # shell 11 has a box of 23 points
+    with pytest.raises(QuotientCeilingError):
+        gamma.decompose(p, bound=300, max_size=21)
+    assert gamma._index_bound == 10
+
+
 def test_decompose_off_variety(gamma_p, curve_m2):
     with pytest.raises(InputError):
         gamma_p.decompose(point(curve_m2, 3, 4))

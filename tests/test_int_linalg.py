@@ -1,7 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mordell.errors import InputError
 from mordell.intlinalg import (
     ZLattice,
     determinant,
@@ -130,6 +134,36 @@ def test_zlattice_copy_is_independent():
     other.add_vector([0, 1])
     assert [0, 1] in other
     assert [0, 1] not in lat
+
+
+@st.composite
+def _lattice_coset_window(draw):
+    dim = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4)
+    gens = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=dim))
+    radius = draw(st.integers(0, 6))
+    coord = st.integers(-radius, radius)
+    anchor = draw(st.lists(coord, min_size=dim, max_size=dim))
+    return ZLattice(dim, gens), tuple(anchor), radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_coset_window())
+def test_coset_points_match_filtered_window_scan(case):
+    lat, anchor, radius = case
+    window = itertools.product(range(-radius, radius + 1), repeat=lat.dim)
+    expect = [w for w in window if [a - b for a, b in zip(w, anchor)] in lat]
+    assert list(lat.coset_points(anchor, radius)) == expect
+
+
+def test_coset_points_examples():
+    lat = ZLattice(2, [[2, 1]])
+    assert list(lat.coset_points((0, 0), 2)) == [(-2, -1), (0, 0), (2, 1)]
+    # the first column is fixed by the anchor and leaves the window
+    assert list(ZLattice(2, [[0, 1]]).coset_points((3, 0), 2)) == []
+    assert list(ZLattice(2).coset_points((1, -1), 1)) == [(1, -1)]
+    with pytest.raises(InputError):
+        list(lat.coset_points((0,), 2))
 
 
 @pytest.mark.parametrize("mat", [[[2, 4], [0, 6]], [[6, 0], [0, 10]], [[1, 1], [1, 1]]])

@@ -2,11 +2,19 @@ import itertools
 
 import pytest
 
+from mordell import ml_checker
 from mordell.errors import InputError
 from mordell.exact_num import poly_eval, sum_of_squares_combine
-from mordell.fg_group import Coords
+from mordell.fg_group import Coords, GammaSpec
 from mordell.formula_eval import parse_poly
-from mordell.group_core import IDENTITY, is_identity, point, scalar_mul
+from mordell.group_core import (
+    IDENTITY,
+    format_point,
+    is_identity,
+    make_curve,
+    point,
+    scalar_mul,
+)
 from mordell.ml_checker import (
     Counterexample,
     Inconclusive,
@@ -234,6 +242,61 @@ def test_suggest_output_revalidates(gamma_circle):
     else:
         assert isinstance(d, Inconclusive)
         assert d.unexplained
+
+
+@pytest.fixture(scope="module")
+def gamma_c17():
+    # rank 2: y^2 = x^3 + 17 with (-2, 3) and (-1, 4)
+    curve = make_curve(0, 17)
+    return GammaSpec(curve, [point(curve, -2, 3), point(curve, -1, 4)], claimed_rank=2)
+
+
+def _c2(*free):
+    return Coords(tuple(free), ())
+
+
+@pytest.mark.parametrize(
+    "poly,pairs",
+    [
+        ("(- x2 x4)", (((_c2(-1, -1), _c2(-1, -1)), (-1, 1)),)),
+        (
+            "(- x1 x3)",
+            (
+                ((_c2(-1, -1), _c2(-1, -1)), (-1, 1)),
+                ((_c2(-1, -1), _c2(1, 1)), (1, 1)),
+            ),
+        ),
+    ],
+)
+def test_suggest_rank_two_pinned(gamma_c17, poly, pairs):
+    d = suggest_decomposition(gamma_c17, parse_poly(poly, 4), 2, bound=3)
+    assert d == MLDecomposition(pairs)
+
+
+def test_suggest_rank_two_inconclusive_pinned(gamma_c17):
+    res = suggest_decomposition(gamma_c17, parse_poly("(- (+ x1 x3) 1)", 4), 2, bound=3)
+    assert isinstance(res, Inconclusive)
+    assert res.reason == "no single character cuts the cluster at this bound"
+    a, b = "(-1, -4)", "(-1, 4)"
+    c, e = "(2, -5)", "(2, 5)"
+    assert [tuple(format_point(q) for q in t) for t in res.unexplained] == [
+        (a, c), (a, e), (b, c), (b, e), (c, a), (c, b), (e, a), (e, b)
+    ]
+
+
+def test_suggest_classifies_each_tuple_once(gamma_c17, monkeypatch):
+    seen = []
+    classify = ml_checker._classify
+
+    def recorder(p, slot_used, points):
+        seen.append(points)
+        return classify(p, slot_used, points)
+
+    monkeypatch.setattr(ml_checker, "_classify", recorder)
+    d = suggest_decomposition(gamma_c17, parse_poly("(- x1 x3)", 4), 2, bound=3)
+    assert len(d.pairs) == 2
+    assert len(seen) == len(set(seen))
+    assert len(seen) >= (7 * 7) ** 2  # the whole box, plus window points
 
 
 def test_inconclusive_rendering():
