@@ -11,13 +11,17 @@ canonical strings ("129/100", "-3", "0"), the same form the outputs use.
 Flags go after the final subcommand: mordell point add P Q --spec f.json.
 
 Exit codes: 0 success, 2 invalid input (bad spec file, off-variety point,
-malformed formula), 3 resource ceiling (a quotient or residue enumeration or
-a coefficient box search would exceed the configured ceiling, or a point is
-too long to print).
+malformed formula, a rational literal over the int digit limit), 3 resource
+ceiling (a quotient or residue enumeration or a coefficient box search would
+exceed the configured ceiling, or a number in the answer is too long to
+print).
 
---machine switches to line-delimited JSON records with fixed field names;
-field order is part of the format.  Human output is meant for eyeballs and
-is not parsed by anything here.
+Each command computes its result once, as one record.  --machine prints
+that record as a line of JSON with fixed field names; field order is part of
+the format.  Without it the human text is rendered from the same record
+(HUMAN), meant for eyeballs and not parsed by anything here.  Output is all
+or nothing: an error while building or rendering the record leaves stdout
+empty.
 
 Enumerated rational point lists are cached under --cache-dir (default
 $MORDELL_CACHE_DIR, else ~/.cache/mordell), keyed by backend fingerprint
@@ -34,13 +38,12 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import coset_engine, ml_checker
 from .errors import InputError, PreconditionError, QuotientCeilingError
-from .exact_num import parse_rational
+from .exact_num import format_rational, parse_rational
 from .fg_group import (
     Coords,
     DEFAULT_COEFF_BOUND,
@@ -49,6 +52,7 @@ from .fg_group import (
     Undecided,
 )
 from .formula_eval import (
+    TriBool,
     eval_formula,
     format_formula,
     format_poly,
@@ -60,6 +64,7 @@ from .group_core import (
     Curve,
     IDENTITY,
     add,
+    discriminant_term,
     enumerate_rational_points,
     format_point,
     is_identity,
@@ -70,19 +75,11 @@ from .group_core import (
     scalar_mul,
     torsion_subgroup,
 )
-from .ml_checker import Counterexample, Inconclusive, MLDecomposition, Verified
+from .ml_checker import Inconclusive, MLDecomposition, Verified
 
 DEFAULT_HEIGHT_BOUND = 100
 ENV_CACHE_DIR = "MORDELL_CACHE_DIR"
 CACHE_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    coeff_bound: int = DEFAULT_COEFF_BOUND
-    height_bound: int = DEFAULT_HEIGHT_BOUND
-    ceiling: int = DEFAULT_QUOTIENT_CEILING
-    machine: bool = False
 
 
 # -- group spec files ---------------------------------------------------------------
@@ -209,7 +206,8 @@ class PointCache:
             "fingerprint": backend_fingerprint(backend),
             "height_bound": height_bound,
             "points": [
-                "O" if is_identity(p) else [str(p.x), str(p.y)] for p in points
+                "O" if is_identity(p) else [format_rational(p.x), format_rational(p.y)]
+                for p in points
             ],
         }
         path = self._path(backend, height_bound)
@@ -238,17 +236,11 @@ def _resolve_cache_dir(args) -> Path | None:
     return Path.home() / ".cache" / "mordell"
 
 
-# -- small renderers ----------------------------------------------------------------
+# -- record pieces ------------------------------------------------------------------
 
 
-def _torsion_text(factors) -> str:
-    if not factors:
-        return "trivial"
-    return " x ".join(f"Z/{d}" for d in factors)
-
-
-def _tuple_text(points) -> str:
-    return "(" + ", ".join(format_point(p) for p in points) + ")"
+def _printed(points) -> list[str]:
+    return [format_point(p) for p in points]
 
 
 def _coords_json(c: Coords) -> dict:
@@ -298,10 +290,6 @@ def decomposition_from_json(obj) -> MLDecomposition:
     return MLDecomposition(tuple(out))
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record))
-
-
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     parts = [s.strip() for s in text.split(",")]
     try:
@@ -310,105 +298,66 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise InputError(f"{what} must be a comma-separated integer list, got {text!r}")
 
 
-def _residues_json(u) -> list:
-    return [[list(slot) for slot in res] for res in u.residues]
+def _union_json(u) -> dict:
+    return {
+        "arity": u.n,
+        "modulus": u.modulus,
+        "residues": [[list(slot) for slot in res] for res in u.residues],
+        "coarsened": u.coarsened,
+    }
 
 
-# -- commands -----------------------------------------------------------------------
+# -- commands: each computes its result once and returns its machine record ---------
 
 
-def cmd_curve_info(args, cfg: RunConfig, gamma: GammaSpec) -> None:
+def cmd_curve_info(args, gamma: GammaSpec) -> dict:
     backend = gamma.backend
-    components = real_components(backend)
     full_torsion = torsion_subgroup(backend)
-    if gamma.rank:
-        audit = f"{gamma.rank} free generator(s) pass the independence check (bound {gamma.audit_bound})"
-    else:
-        audit = "no free generators"
-    if cfg.machine:
-        record = {"command": "curve-info"}
-        if isinstance(backend, Curve):
-            record["kind"] = "curve"
-            record["a"] = str(backend.a)
-            record["b"] = str(backend.b)
-            record["discriminant_term"] = str(4 * backend.a**3 + 27 * backend.b**2)
-        else:
-            record["kind"] = "circle"
-        record["components"] = components
-        record["torsion_factors"] = list(full_torsion.invariant_factors)
-        record["torsion_order"] = full_torsion.order()
-        record["subgroup_torsion_factors"] = list(gamma.torsion.invariant_factors)
-        record["rank"] = gamma.rank
-        record["audit_bound"] = gamma.audit_bound
-        record["label"] = gamma.label
-        _emit(record)
-        return
+    record = {"command": "curve-info", "kind": "circle"}
     if isinstance(backend, Curve):
-        print(f"kind: curve (a={backend.a}, b={backend.b})")
-        print(f"discriminant term: {4 * backend.a**3 + 27 * backend.b**2}")
-    else:
-        print("kind: circle")
-    print(f"components: {components}")
-    print(f"torsion: {_torsion_text(full_torsion.invariant_factors)}")
-    print(f"subgroup torsion: {_torsion_text(gamma.torsion.invariant_factors)}")
-    print(f"rank: {gamma.rank}")
-    print(f"audit: {audit}")
-    if gamma.label is not None:
-        print(f"label: {gamma.label}")
+        record.update(
+            kind="curve",
+            a=format_rational(backend.a),
+            b=format_rational(backend.b),
+            discriminant_term=format_rational(discriminant_term(backend)),
+        )
+    record.update(
+        components=real_components(backend),
+        torsion_factors=list(full_torsion.invariant_factors),
+        torsion_order=full_torsion.order(),
+        subgroup_torsion_factors=list(gamma.torsion.invariant_factors),
+        rank=gamma.rank,
+        audit_bound=gamma.audit_bound,
+        label=gamma.label,
+    )
+    return record
 
 
-def cmd_point(args, cfg: RunConfig, gamma: GammaSpec) -> None:
+def cmd_point(args, gamma: GammaSpec) -> dict:
     backend = gamma.backend
     if args.point_op == "add":
         r = add(backend, parse_point(backend, args.p), parse_point(backend, args.q))
-        if cfg.machine:
-            _emit({"command": "point-add", "result": format_point(r)})
-        else:
-            print(format_point(r))
-    elif args.point_op == "mul":
+        return {"command": "point-add", "result": format_point(r)}
+    if args.point_op == "mul":
         r = scalar_mul(backend, args.k, parse_point(backend, args.p))
-        if cfg.machine:
-            _emit({"command": "point-mul", "k": args.k, "result": format_point(r)})
-        else:
-            print(format_point(r))
+        return {"command": "point-mul", "k": args.k, "result": format_point(r)}
+    c = gamma.decompose(parse_point(backend, args.p), args.bound, args.ceiling)
+    record = {"command": "point-decompose", "bound": args.bound}
+    if isinstance(c, Undecided):
+        record["result"] = "undecided"
     else:
-        c = gamma.decompose(parse_point(backend, args.p), cfg.coeff_bound, cfg.ceiling)
-        if cfg.machine:
-            record = {"command": "point-decompose", "bound": cfg.coeff_bound}
-            if isinstance(c, Undecided):
-                record["result"] = "undecided"
-            else:
-                record["result"] = "coords"
-                record.update(_coords_json(c))
-            _emit(record)
-        else:
-            print(str(c))
+        record["result"] = "coords"
+        record.update(_coords_json(c))
+    return record
 
 
-def cmd_coset(args, cfg: RunConfig, gamma: GammaSpec) -> None:
-    if args.coset_op == "dke":
-        k = _parse_int_list(args.char, "--char")
-        u = coset_engine.dke(gamma, k, args.exponent, cfg.ceiling)
-        if cfg.machine:
-            _emit(
-                {
-                    "command": "coset-dke",
-                    "char": list(k),
-                    "exponent": args.exponent,
-                    "arity": u.n,
-                    "modulus": u.modulus,
-                    "residues": _residues_json(u),
-                    "coarsened": u.coarsened,
-                }
-            )
-        else:
-            print(coset_engine.format_union(u))
-    elif args.coset_op == "combine":
-        operands = [_operand_union(gamma, text, cfg) for text in args.operand]
+def cmd_coset(args, gamma: GammaSpec) -> dict:
+    if args.coset_op == "combine":
+        operands = [_operand_union(gamma, text, args.ceiling) for text in args.operand]
         if args.op == "complement":
             if len(operands) != 1:
                 raise InputError("complement takes exactly one operand")
-            u = coset_engine.complement(operands[0], cfg.ceiling)
+            u = coset_engine.complement(operands[0], args.ceiling)
         else:
             if len(operands) != 2:
                 raise InputError(f"{args.op} takes exactly two operands")
@@ -417,37 +366,23 @@ def cmd_coset(args, cfg: RunConfig, gamma: GammaSpec) -> None:
                 "intersect": coset_engine.intersect,
                 "diff": coset_engine.difference,
             }[args.op]
-            u = fn(operands[0], operands[1], cfg.ceiling)
-        if cfg.machine:
-            _emit(
-                {
-                    "command": "coset-combine",
-                    "op": args.op,
-                    "arity": u.n,
-                    "modulus": u.modulus,
-                    "residues": _residues_json(u),
-                    "coarsened": u.coarsened,
-                }
-            )
-        else:
-            print(coset_engine.format_union(u))
-    else:
-        k = _parse_int_list(args.char, "--char")
-        u = coset_engine.dke(gamma, k, args.exponent, cfg.ceiling)
-        points = [parse_point(gamma.backend, t) for t in args.points]
-        res = coset_engine.member(u, points, cfg.coeff_bound)
-        if cfg.machine:
-            record = {"command": "coset-member", "bound": cfg.coeff_bound}
-            if isinstance(res, Undecided):
-                record["result"] = "undecided"
-            else:
-                record["result"] = res
-            _emit(record)
-        else:
-            print(str(res).lower() if isinstance(res, bool) else str(res))
+            u = fn(operands[0], operands[1], args.ceiling)
+        return {"command": "coset-combine", "op": args.op, **_union_json(u)}
+    k = _parse_int_list(args.char, "--char")
+    u = coset_engine.dke(gamma, k, args.exponent, args.ceiling)
+    if args.coset_op == "dke":
+        record = {"command": "coset-dke", "char": list(k), "exponent": args.exponent}
+        return {**record, **_union_json(u)}
+    points = [parse_point(gamma.backend, t) for t in args.points]
+    res = coset_engine.member(u, points, args.bound)
+    return {
+        "command": "coset-member",
+        "bound": args.bound,
+        "result": "undecided" if isinstance(res, Undecided) else res,
+    }
 
 
-def _operand_union(gamma: GammaSpec, text: str, cfg: RunConfig):
+def _operand_union(gamma: GammaSpec, text: str, ceiling: int):
     """Operand syntax K:E, the kernel union of character K at exponent E."""
     head, sep, tail = text.partition(":")
     if not sep:
@@ -457,90 +392,43 @@ def _operand_union(gamma: GammaSpec, text: str, cfg: RunConfig):
         e = int(tail)
     except ValueError:
         raise InputError(f"coset operand exponent must be an integer, got {tail!r}")
-    return coset_engine.dke(gamma, k, e, cfg.ceiling)
+    return coset_engine.dke(gamma, k, e, ceiling)
 
 
-def cmd_ml(args, cfg: RunConfig, gamma: GammaSpec) -> None:
+def cmd_ml(args, gamma: GammaSpec) -> dict:
     n = args.slots
     if n < 1:
         raise InputError("--slots must be >= 1")
     p = parse_poly(args.poly, 2 * n)
+    poly = format_poly(p)
+    record = {"command": f"ml-{args.ml_op}", "poly": poly, "slots": n, "bound": args.bound}
     if args.ml_op == "solve":
         skipped: list = []
         sols = ml_checker.solutions_bounded(
-            gamma, p, n, cfg.coeff_bound, skipped, max_size=cfg.ceiling
+            gamma, p, n, args.bound, skipped, max_size=args.ceiling
         )
-        if cfg.machine:
-            _emit(
-                {
-                    "command": "ml-solve",
-                    "poly": format_poly(p),
-                    "slots": n,
-                    "bound": cfg.coeff_bound,
-                    "solutions": [[format_point(q) for q in t] for t in sols],
-                    "skipped": len(skipped),
-                }
-            )
-        else:
-            for t in sols:
-                print(_tuple_text(t))
-            print(f"solutions: {len(sols)}, skipped: {len(skipped)}")
+        record["solutions"] = [_printed(t) for t in sols]
+        record["skipped"] = len(skipped)
     elif args.ml_op == "verify":
         d = _read_decomposition(args.decomposition)
         verdict = ml_checker.verify_decomposition(
-            gamma, p, n, d, cfg.coeff_bound, max_size=cfg.ceiling
+            gamma, p, n, d, args.bound, max_size=args.ceiling
         )
-        if cfg.machine:
-            record = {
-                "command": "ml-verify",
-                "poly": format_poly(p),
-                "slots": n,
-                "bound": cfg.coeff_bound,
-            }
-            if isinstance(verdict, Verified):
-                record["verdict"] = "verified"
-            elif isinstance(verdict, Counterexample):
-                record["verdict"] = "counterexample"
-                record["direction"] = verdict.direction
-                record["tuple"] = [format_point(q) for q in verdict.points]
-            else:
-                record["verdict"] = "inconclusive"
-                record["reason"] = verdict.reason
-            _emit(record)
+        if isinstance(verdict, Verified):
+            record["verdict"] = "verified"
         else:
-            print(str(verdict))
+            tup = _printed(verdict.points)
+            record.update(verdict="counterexample", direction=verdict.direction, tuple=tup)
     else:
         out = ml_checker.suggest_decomposition(
-            gamma, p, n, cfg.coeff_bound, max_size=cfg.ceiling
+            gamma, p, n, args.bound, max_size=args.ceiling
         )
-        if cfg.machine:
-            record = {
-                "command": "ml-suggest",
-                "poly": format_poly(p),
-                "slots": n,
-                "bound": cfg.coeff_bound,
-            }
-            if isinstance(out, Inconclusive):
-                record["verdict"] = "inconclusive"
-                record["reason"] = out.reason
-                record["unexplained"] = [
-                    [format_point(q) for q in t] for t in out.unexplained
-                ]
-            else:
-                record["verdict"] = "decomposition"
-                record.update(decomposition_to_json(out))
-            _emit(record)
+        if isinstance(out, Inconclusive):
+            unexplained = [_printed(t) for t in out.unexplained]
+            record.update(verdict="inconclusive", reason=out.reason, unexplained=unexplained)
         else:
-            if isinstance(out, Inconclusive):
-                print(str(out))
-                for t in out.unexplained:
-                    print(f"unexplained: {_tuple_text(t)}")
-            else:
-                for base, k in out.pairs:
-                    base_txt = "; ".join(str(c) for c in base)
-                    k_txt = " ".join(str(v) for v in k)
-                    print(f"base ({base_txt}) k [{k_txt}]")
-                print(f"pairs: {len(out.pairs)}")
+            record.update(verdict="decomposition", **decomposition_to_json(out))
+    return record
 
 
 def _read_decomposition(text: str) -> MLDecomposition:
@@ -557,118 +445,208 @@ def _read_decomposition(text: str) -> MLDecomposition:
     return decomposition_from_json(obj)
 
 
-def cmd_eval(args, cfg: RunConfig, gamma: GammaSpec) -> None:
+def cmd_eval(args, gamma: GammaSpec) -> dict:
     f = parse(args.formula)
     if args.x is None or args.x.strip() == "":
         xs: list[Fraction] = []
     else:
         xs = [parse_rational(s.strip()) for s in args.x.split(",")]
-    res = eval_formula(gamma, f, xs, cfg.coeff_bound, max_size=cfg.ceiling)
-    if cfg.machine:
-        record = {
-            "command": "eval",
-            "formula": format_formula(f),
-            "x": [str(v) for v in xs],
-            "result": res.kind,
-        }
-        if res.kind == "true":
-            record["witnesses"] = [
-                [format_point(q) for q in block] for block in res.witnesses
-            ]
-        elif res.kind == "unknown":
-            record["bound"] = res.bound
-        _emit(record)
-        return
-    if res.kind == "true" and res.witnesses:
-        wit = "; ".join(_tuple_text(block) for block in res.witnesses)
-        print(f"true (witness: {wit})")
-    else:
-        print(str(res))
+    res = eval_formula(gamma, f, xs, args.bound, max_size=args.ceiling)
+    record = {
+        "command": "eval",
+        "formula": format_formula(f),
+        "x": [format_rational(v) for v in xs],
+        "result": res.kind,
+    }
+    if res.kind == "true":
+        record["witnesses"] = [_printed(block) for block in res.witnesses]
+    elif res.kind == "unknown":
+        record["bound"] = res.bound
+    return record
 
 
-def cmd_density(args, cfg: RunConfig, gamma: GammaSpec) -> None:
+def cmd_density(args, gamma: GammaSpec) -> dict:
     lo = parse_rational(args.lo)
     hi = parse_rational(args.hi)
     if args.char is not None:
         if args.exponent is None:
             raise InputError("--char needs --exponent")
         k = _parse_int_list(args.char, "--char")
-        u = coset_engine.dke(gamma, k, args.exponent, cfg.ceiling)
-        hist = coset_engine.density_sample(gamma, u, lo, hi, cfg.height_bound, args.bins)
+        u = coset_engine.dke(gamma, k, args.exponent, args.ceiling)
+        hist = coset_engine.density_sample(gamma, u, lo, hi, args.height, args.bins)
     elif args.exponent is not None:
         raise InputError("--exponent needs --char")
     else:
-        hist = gamma.projection_density(lo, hi, cfg.height_bound, args.bins)
-    edges = hist.edges()
-    if cfg.machine:
-        _emit(
-            {
-                "command": "density",
-                "lo": str(lo),
-                "hi": str(hi),
-                "bins": hist.bins,
-                "height_bound": cfg.height_bound,
-                "edges": [str(e) for e in edges],
-                "counts": list(hist.counts),
-                "total": hist.total(),
-            }
-        )
-        return
-    for i, count in enumerate(hist.counts):
-        closer = "]" if i == hist.bins - 1 else ")"
-        print(f"[{edges[i]}, {edges[i + 1]}{closer}: {count}")
-    print(f"total: {hist.total()}")
+        hist = gamma.projection_density(lo, hi, args.height, args.bins)
+    return {
+        "command": "density",
+        "lo": format_rational(lo),
+        "hi": format_rational(hi),
+        "bins": hist.bins,
+        "height_bound": args.height,
+        "edges": [format_rational(e) for e in hist.edges()],
+        "counts": list(hist.counts),
+        "total": hist.total(),
+    }
 
 
-def cmd_axioms(args, cfg: RunConfig, gamma: GammaSpec, cache: PointCache) -> None:
+def cmd_axioms(args, gamma: GammaSpec) -> dict:
     lo = parse_rational(args.lo)
     hi = parse_rational(args.hi)
-    points = cached_rational_points(cache, gamma.backend, cfg.height_bound)
+    cache = PointCache(_resolve_cache_dir(args))
+    points = cached_rational_points(cache, gamma.backend, args.height)
     report = gamma.check_axioms_bounded(
         args.n_max,
-        cfg.height_bound,
+        args.height,
         (lo, hi, args.bins),
-        cfg.coeff_bound,
+        args.bound,
         rational_points=points,
     )
     d = report.density
-    if cfg.machine:
-        _emit(
+    return {
+        "command": "axioms",
+        "note": report.note,
+        "density": {
+            "lo": format_rational(d.lo),
+            "hi": format_rational(d.hi),
+            "bins": d.bins,
+            "hit_bins": d.hit_bins,
+            "points_seen": d.points_seen,
+            "low_coverage": d.low_coverage,
+        },
+        "checks": [
             {
-                "command": "axioms",
-                "note": report.note,
-                "density": {
-                    "lo": str(d.lo),
-                    "hi": str(d.hi),
-                    "bins": d.bins,
-                    "hit_bins": d.hit_bins,
-                    "points_seen": d.points_seen,
-                    "low_coverage": d.low_coverage,
-                },
-                "checks": [
-                    {
-                        "n": c.n,
-                        "quotient_size": c.quotient_size,
-                        "purity": [format_point(f.witness) for f in c.purity_findings],
-                    }
-                    for c in report.checks
-                ],
+                "n": c.n,
+                "quotient_size": c.quotient_size,
+                "purity": _printed(f.witness for f in c.purity_findings),
             }
+            for c in report.checks
+        ],
+    }
+
+
+# -- human text, rendered from the machine record alone -----------------------------
+
+
+def _torsion_text(factors) -> str:
+    if not factors:
+        return "trivial"
+    return " x ".join(f"Z/{d}" for d in factors)
+
+
+def _tuple_text(printed) -> str:
+    return "(" + ", ".join(printed) + ")"
+
+
+def _curve_info_text(rec):
+    if rec["kind"] == "curve":
+        yield f"kind: curve (a={rec['a']}, b={rec['b']})"
+        yield f"discriminant term: {rec['discriminant_term']}"
+    else:
+        yield "kind: circle"
+    yield f"components: {rec['components']}"
+    yield f"torsion: {_torsion_text(rec['torsion_factors'])}"
+    yield f"subgroup torsion: {_torsion_text(rec['subgroup_torsion_factors'])}"
+    yield f"rank: {rec['rank']}"
+    if rec["rank"]:
+        yield (
+            f"audit: {rec['rank']} free generator(s) pass the independence check"
+            f" (bound {rec['audit_bound']})"
         )
+    else:
+        yield "audit: no free generators"
+    if rec["label"] is not None:
+        yield f"label: {rec['label']}"
+
+
+def _bounded_text(rec):
+    """point decompose and coset member: coordinates, a bool or undecided."""
+    if rec["result"] == "undecided":
+        yield str(Undecided(rec["bound"]))
+    elif rec["result"] == "coords":
+        yield str(_coords_from_json({"free": rec["free"], "tors": rec["tors"]}))
+    else:
+        yield str(rec["result"]).lower()
+
+
+def _union_text(rec):
+    vecs = [["[" + " ".join(map(str, v)) + "]" for v in res] for res in rec["residues"]]
+    parts = [v[0] if rec["arity"] == 1 else "(" + ", ".join(v) + ")" for v in vecs]
+    yield f"mod {rec['modulus']}: {{{', '.join(parts)}}}"
+
+
+def _solve_text(rec):
+    for t in rec["solutions"]:
+        yield _tuple_text(t)
+    yield f"solutions: {len(rec['solutions'])}, skipped: {rec['skipped']}"
+
+
+def _verify_text(rec):
+    if rec["verdict"] == "verified":
+        yield str(Verified(rec["bound"]))
+    else:
+        yield f"counterexample: {rec['direction']} {_tuple_text(rec['tuple'])}"
+
+
+def _suggest_text(rec):
+    if rec["verdict"] == "inconclusive":
+        yield str(Inconclusive(rec["reason"]))
+        for t in rec["unexplained"]:
+            yield f"unexplained: {_tuple_text(t)}"
         return
-    print(report.note)
-    flag = " [low coverage]" if d.low_coverage else ""
-    print(
-        f"density: {d.hit_bins}/{d.bins} bins hit on [{d.lo}, {d.hi}]"
-        f" ({d.points_seen} points seen){flag}"
+    pairs = decomposition_from_json({"pairs": rec["pairs"]}).pairs
+    for base, k in pairs:
+        base_txt = "; ".join(str(c) for c in base)
+        k_txt = " ".join(str(v) for v in k)
+        yield f"base ({base_txt}) k [{k_txt}]"
+    yield f"pairs: {len(pairs)}"
+
+
+def _eval_text(rec):
+    if rec.get("witnesses"):
+        wit = "; ".join(_tuple_text(block) for block in rec["witnesses"])
+        yield f"true (witness: {wit})"
+    else:
+        yield str(TriBool(rec["result"], bound=rec.get("bound")))
+
+
+def _density_text(rec):
+    edges = rec["edges"]
+    for i, count in enumerate(rec["counts"]):
+        closer = "]" if i == rec["bins"] - 1 else ")"
+        yield f"[{edges[i]}, {edges[i + 1]}{closer}: {count}"
+    yield f"total: {rec['total']}"
+
+
+def _axioms_text(rec):
+    d = rec["density"]
+    yield rec["note"]
+    flag = " [low coverage]" if d["low_coverage"] else ""
+    yield (
+        f"density: {d['hit_bins']}/{d['bins']} bins hit on [{d['lo']}, {d['hi']}]"
+        f" ({d['points_seen']} points seen){flag}"
     )
-    for c in report.checks:
-        if c.purity_findings:
-            witnesses = ", ".join(format_point(f.witness) for f in c.purity_findings)
-            purity = f"purity findings: {witnesses}"
-        else:
-            purity = "purity findings: none"
-        print(f"n={c.n}: quotient size {c.quotient_size}; {purity}")
+    for c in rec["checks"]:
+        witnesses = ", ".join(c["purity"]) or "none"
+        yield f"n={c['n']}: quotient size {c['quotient_size']}; purity findings: {witnesses}"
+
+
+# record -> its lines of human text, keyed by the record's "command" field
+HUMAN = {
+    "curve-info": _curve_info_text,
+    "point-add": lambda rec: [rec["result"]],
+    "point-mul": lambda rec: [rec["result"]],
+    "point-decompose": _bounded_text,
+    "coset-dke": _union_text,
+    "coset-combine": _union_text,
+    "coset-member": _bounded_text,
+    "ml-solve": _solve_text,
+    "ml-verify": _verify_text,
+    "ml-suggest": _suggest_text,
+    "eval": _eval_text,
+    "density": _density_text,
+    "axioms": _axioms_text,
+}
 
 
 # -- parser -------------------------------------------------------------------------
@@ -724,9 +702,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("curve-info", parents=[common], help="backend and subgroup summary")
+    sub.add_parser(
+        "curve-info", parents=[common], help="backend and subgroup summary"
+    ).set_defaults(run=cmd_curve_info)
 
     p_point = sub.add_parser("point", help="group arithmetic on points")
+    p_point.set_defaults(run=cmd_point)
     point_sub = p_point.add_subparsers(dest="point_op", required=True)
     pa = point_sub.add_parser("add", parents=[common], help="add two points")
     pa.add_argument("p")
@@ -740,6 +721,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("p")
 
     p_coset = sub.add_parser("coset", help="kernel coset unions")
+    p_coset.set_defaults(run=cmd_coset)
     coset_sub = p_coset.add_subparsers(dest="coset_op", required=True)
     cd = coset_sub.add_parser(
         "dke", parents=[common], help="kernel union of a character at an exponent"
@@ -761,6 +743,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cm.add_argument("points", nargs="+", help="point literals, one per slot")
 
     p_ml = sub.add_parser("ml", help="polynomial solution sets over the subgroup")
+    p_ml.set_defaults(run=cmd_ml)
     ml_sub = p_ml.add_subparsers(dest="ml_op", required=True)
     ms = ml_sub.add_parser(
         "solve", parents=[common], help="bounded solution tuples of a polynomial"
@@ -791,6 +774,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser(
         "eval", parents=[common], help="evaluate a formula with bounded quantifiers"
     )
+    pe.set_defaults(run=cmd_eval)
     pe.add_argument("formula")
     pe.add_argument(
         "--x", default=None, help="comma-separated rational values for x1, x2, ..."
@@ -799,6 +783,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd2 = sub.add_parser(
         "density", parents=[common], help="histogram of first coordinates"
     )
+    pd2.set_defaults(run=cmd_density)
     pd2.add_argument("--lo", required=True)
     pd2.add_argument("--hi", required=True)
     pd2.add_argument("--bins", type=int, required=True)
@@ -808,6 +793,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd2.add_argument("--exponent", type=int, default=None)
 
     px = sub.add_parser("axioms", parents=[common], help="bounded evidence report")
+    px.set_defaults(run=cmd_axioms)
     px.add_argument("--n-max", type=int, default=3)
     px.add_argument("--lo", default="-4")
     px.add_argument("--hi", default="4")
@@ -817,37 +803,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        coeff_bound=args.bound,
-        height_bound=args.height,
-        ceiling=args.ceiling,
-        machine=args.machine,
-    )
+    # built on each call, so each subcommand's `run` is the module-level
+    # cmd_* function as it is bound at that moment
+    args = _build_parser().parse_args(argv)
     try:
-        gamma = load_group_spec(args.spec)
-        cache = PointCache(_resolve_cache_dir(args))
-        if args.command == "curve-info":
-            cmd_curve_info(args, cfg, gamma)
-        elif args.command == "point":
-            cmd_point(args, cfg, gamma)
-        elif args.command == "coset":
-            cmd_coset(args, cfg, gamma)
-        elif args.command == "ml":
-            cmd_ml(args, cfg, gamma)
-        elif args.command == "eval":
-            cmd_eval(args, cfg, gamma)
-        elif args.command == "density":
-            cmd_density(args, cfg, gamma)
+        record = args.run(args, load_group_spec(args.spec))
+        if args.machine:
+            text = json.dumps(record)
         else:
-            cmd_axioms(args, cfg, gamma, cache)
+            text = "\n".join(HUMAN[record["command"]](record))
     except QuotientCeilingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
     return 0
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "from_kernel_cosets",
     "induced_member",
     "density_sample",
-    "format_union",
 ]
 
 Character = tuple[int, ...]
@@ -493,19 +492,3 @@ def density_sample(
         if (desc.reduce(c),) in wanted and not is_identity(p)
     ]
     return make_histogram(members, lo, hi, bins)
-
-
-def _format_vec(vec: tuple[int, ...]) -> str:
-    return "[" + " ".join(str(x) for x in vec) + "]"
-
-
-def format_union(u: CosetUnion) -> str:
-    if u.n == 1:
-        parts = [_format_vec(res[0]) for res in u.residues]
-    else:
-        parts = [
-            "(" + ", ".join(_format_vec(v) for v in res) + ")"
-            for res in u.residues
-        ]
-    inner = ", ".join(parts)
-    return f"mod {u.modulus}: {{{inner}}}"

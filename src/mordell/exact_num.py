@@ -9,11 +9,13 @@ No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, QuotientCeilingError
 
 # The one rational type used across the package.
 Rational = Fraction
@@ -31,13 +33,40 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"not a canonical rational literal: {text!r}")
     num, slash, den = text.partition("/")
-    if slash and int(den) == 0:
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:  # more digits than Python's int-from-str limit
+        raise InputError(
+            f"rational literal of {len(text)} characters exceeds the digit limit"
+            f" {sys.get_int_max_str_digits()}"
+        )
+    if den == 0:
         raise InputError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(num, den)
+
+
+def _decimal_digits(v: int) -> int:
+    v = abs(v)
+    digits = int((v.bit_length() - 1) * math.log10(2)) + 1
+    while v >= 10**digits:
+        digits += 1
+    return digits
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical text: "num/den" in lowest terms, integers without "/1"."""
+    """Canonical text: "num/den" in lowest terms, integers without "/1".
+
+    A numerator or denominator too long for Python's int-to-str digit limit
+    raises QuotientCeilingError instead of the bare ValueError str() would
+    raise."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        for v in (q.numerator, q.denominator):
+            # below 2**(3*limit) < 10**limit, str() is safe without counting
+            if v.bit_length() > 3 * limit:
+                digits = _decimal_digits(v)
+                if digits > limit:
+                    raise QuotientCeilingError(digits, limit)
     return str(q)
 
 

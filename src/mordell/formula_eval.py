@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .exact_num import MultiPoly, _as_fraction, parse_rational, poly_eval
+from .exact_num import MultiPoly, _as_fraction, format_rational, parse_rational, poly_eval
 from .fg_group import DEFAULT_COEFF_BOUND, DEFAULT_QUOTIENT_CEILING, GammaSpec
 from .group_core import GroupPoint, affine_values, is_identity
 
@@ -513,13 +513,13 @@ def _fmt_poly(p: MultiPoly, s: int) -> str:
             name = _var_name(pos, s)
             factors.append(name if e == 1 else f"(^ {name} {e})")
         if not factors:
-            terms.append(str(coeff))
+            terms.append(format_rational(coeff))
         elif coeff == 1 and len(factors) == 1:
             terms.append(factors[0])
         elif coeff == 1:
             terms.append("(* " + " ".join(factors) + ")")
         else:
-            terms.append("(* " + str(coeff) + " " + " ".join(factors) + ")")
+            terms.append("(* " + format_rational(coeff) + " " + " ".join(factors) + ")")
     if len(terms) == 1:
         return terms[0]
     return "(+ " + " ".join(terms) + ")"

@@ -11,13 +11,12 @@ operation, so it never appears as an Affine value.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, QuotientCeilingError
-from .exact_num import _as_fraction, parse_rational
+from .errors import InputError
+from .exact_num import _as_fraction, format_rational, parse_rational
 
 # -- backends ---------------------------------------------------------------
 
@@ -46,7 +45,7 @@ def make_curve(a, b) -> Curve:
 
 def validate_backend(backend: Backend) -> None:
     if isinstance(backend, Curve):
-        if 4 * backend.a**3 + 27 * backend.b**2 == 0:
+        if discriminant_term(backend) == 0:
             raise InputError(
                 f"singular curve: 4a^3 + 27b^2 = 0 for a={backend.a}, b={backend.b}"
             )
@@ -465,29 +464,11 @@ def torsion_subgroup(backend: Backend) -> TorsionGroup:
 # -- text round-trip -----------------------------------------------------------
 
 
-def _decimal_digits(v: int) -> int:
-    v = abs(v)
-    digits = int((v.bit_length() - 1) * math.log10(2)) + 1
-    while v >= 10**digits:
-        digits += 1
-    return digits
-
-
 def format_point(p: GroupPoint) -> str:
-    """Canonical text of a point.  A coordinate too long for Python's
-    int-to-str digit limit raises QuotientCeilingError instead of the bare
-    ValueError str() would raise."""
+    """Canonical text of a point; see format_rational for the digit limit."""
     if is_identity(p):
         return "O"
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        for v in (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator):
-            # below 2**(3*limit) < 10**limit, str() is safe without counting
-            if v.bit_length() > 3 * limit:
-                digits = _decimal_digits(v)
-                if digits > limit:
-                    raise QuotientCeilingError(digits, limit)
-    return f"({p.x}, {p.y})"
+    return f"({format_rational(p.x)}, {format_rational(p.y)})"
 
 
 def parse_point(backend: Backend, text: str) -> GroupPoint:

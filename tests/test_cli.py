@@ -41,6 +41,16 @@ SPECS = {
         "rank": 1,
         "label": "m2-2p",
     },
+    "c17.json": {
+        "kind": "curve",
+        "a": "0",
+        "b": "17",
+        "generators": [["-2", "3"], ["-1", "4"]],
+        "rank": 2,
+        "label": "c17",
+    },
+    # three real roots, no label
+    "x3mx.json": {"kind": "curve", "a": "-1", "b": "0", "generators": [], "rank": 0},
     "sing.json": {
         "kind": "curve",
         "a": "0",
@@ -50,6 +60,20 @@ SPECS = {
         "label": "sing",
     },
 }
+
+# (0, 0) base with kernels (1, 1) and (1, -1): explains every root of x1 - x3
+DEC_BOTH = json.dumps(
+    {
+        "pairs": [
+            {"base": [{"free": [0], "tors": []}, {"free": [0], "tors": []}], "k": [1, 1]},
+            {"base": [{"free": [0], "tors": []}, {"free": [0], "tors": []}], "k": [1, -1]},
+        ]
+    }
+)
+# dropping the (1, -1) kernel leaves (P, -P) unexplained
+DEC_DIAGONAL = json.dumps(
+    {"pairs": [{"base": [{"free": [0], "tors": []}, {"free": [0], "tors": []}], "k": [1, 1]}]}
+)
 
 # every subcommand once, pinned against the files in tests/golden/
 GOLDEN_CASES = [
@@ -98,6 +122,47 @@ GOLDEN_CASES = [
         ["density", "--lo", "0", "--hi", "10", "--bins", "4", "--height", "150"],
     ),
     ("axioms", "m2.json", ["axioms", "--n-max", "2", "--height", "30"]),
+    # every output branch the rows above leave out
+    ("curve_info_unlabelled", "x3mx.json", ["curve-info"]),
+    ("point_decompose_torsion", "circ.json", ["point", "decompose", "(-3/5, 4/5)"]),
+    ("point_decompose_undecided", "m2-2p.json", ["point", "decompose", "(3, 5)"]),
+    (
+        "coset_member_undecided",
+        "m2-2p.json",
+        ["coset", "member", "--char", "2", "--exponent", "4", "(3, 5)"],
+    ),
+    ("coset_dke_arity2", "circ.json", ["coset", "dke", "--char", "1,1", "--exponent", "2"]),
+    ("coset_combine_diff", "circ.json", ["coset", "combine", "--op", "diff", "1:2", "1:4"]),
+    (
+        "ml_verify_verified",
+        "m2.json",
+        ["ml", "verify", "(- x1 x3)", "--slots", "2", "--bound", "3", "--decomposition", DEC_BOTH],
+    ),
+    (
+        "ml_verify_counterexample",
+        "m2.json",
+        ["ml", "verify", "(- x1 x3)", "--slots", "2", "--bound", "3", "--decomposition", DEC_DIAGONAL],
+    ),
+    (
+        "ml_suggest_inconclusive",
+        "c17.json",
+        ["ml", "suggest", "(- (+ x1 x3) 1)", "--slots", "2", "--bound", "2"],
+    ),
+    ("ml_suggest_empty", "m2.json", ["ml", "suggest", "(- x1 100)", "--slots", "1", "--bound", "2"]),
+    ("eval_true_no_witness", "m2.json", ["eval", "(= x1 3)", "--x", "3"]),
+    (
+        "eval_two_witnesses",
+        "m2.json",
+        ["eval", "(and (exists-gamma 1 (= x1 y1)) (exists-gamma 1 (< 0 y2)))", "--x", "3"],
+    ),
+    ("eval_false", "m2.json", ["eval", "(not (exists-gamma 1 (= x1 y1)))", "--x", "3"]),
+    (
+        "density_char",
+        "m2.json",
+        ["density", "--lo", "0", "--hi", "10", "--bins", "4", "--height", "150",
+         "--char", "2", "--exponent", "4"],
+    ),
+    ("axioms_purity", "m2-2p.json", ["axioms", "--n-max", "2", "--height", "30"]),
 ]
 
 
@@ -140,6 +205,15 @@ def test_machine_output_matches_golden(name, spec, args, spec_dir, capsys):
     assert len(lines) == 1  # one JSON record per command
     record = json.loads(lines[0])
     assert record["command"] == "-".join(args[:2] if args[0] in ("point", "coset", "ml") else args[:1])
+
+
+@pytest.mark.parametrize("name", [c[0] for c in GOLDEN_CASES])
+def test_human_text_is_rendered_from_the_record(name):
+    # the human golden follows from the machine golden alone, so the two
+    # outputs cannot drift apart
+    rec = json.loads((GOLDEN / f"{name}.machine.jsonl").read_text())
+    text = "\n".join(cli.HUMAN[rec["command"]](rec)) + "\n"
+    assert text == (GOLDEN / f"{name}.human.txt").read_text()
 
 
 # -- spec examples, asserted inline -------------------------------------------------
@@ -231,20 +305,6 @@ def test_decompose_searches_shells_under_ceiling(spec, args, code, out, spec_dir
 
 
 def test_ml_verify_decomposition_inline(spec_dir, capsys):
-    dec = json.dumps(
-        {
-            "pairs": [
-                {
-                    "base": [{"free": [0], "tors": []}, {"free": [0], "tors": []}],
-                    "k": [1, 1],
-                },
-                {
-                    "base": [{"free": [0], "tors": []}, {"free": [0], "tors": []}],
-                    "k": [1, -1],
-                },
-            ]
-        }
-    )
     rc, out, _ = run_cli(
         capsys,
         [
@@ -256,7 +316,7 @@ def test_ml_verify_decomposition_inline(spec_dir, capsys):
             "--bound",
             "3",
             "--decomposition",
-            dec,
+            DEC_BOTH,
             "--spec",
             str(spec_dir / "m2.json"),
             "--no-cache",
@@ -267,17 +327,6 @@ def test_ml_verify_decomposition_inline(spec_dir, capsys):
 
 
 def test_ml_verify_counterexample(spec_dir, capsys):
-    # dropping the (1, -1) kernel leaves (P, -P) unexplained
-    dec = json.dumps(
-        {
-            "pairs": [
-                {
-                    "base": [{"free": [0], "tors": []}, {"free": [0], "tors": []}],
-                    "k": [1, 1],
-                }
-            ]
-        }
-    )
     rc, out, _ = run_cli(
         capsys,
         [
@@ -289,7 +338,7 @@ def test_ml_verify_counterexample(spec_dir, capsys):
             "--bound",
             "3",
             "--decomposition",
-            dec,
+            DEC_DIAGONAL,
             "--spec",
             str(spec_dir / "m2.json"),
             "--no-cache",
@@ -325,6 +374,10 @@ def test_suggest_verify_round_trip(spec_dir, capsys, tmp_path):
 
 # -- exit codes ---------------------------------------------------------------------
 
+ONES = "1" * 5000
+SEVENS = "7" * 2000
+TEN_2500 = 10**2500
+
 
 @pytest.mark.parametrize(
     "spec,args,code,fragment",
@@ -356,6 +409,21 @@ def test_suggest_verify_round_trip(spec_dir, capsys, tmp_path):
             "exceeds ceiling 1000000",
         ),
         ("m2.json", ["point", "mul", "80", "(3, 5)"], 3, "exceeds ceiling"),
+        # literals longer than the int-from-str digit limit
+        ("m2.json", ["point", "add", f"({ONES}, 1)", "(3, 5)"], 2, "exceeds the digit limit"),
+        ("m2.json", ["eval", "(= x1 0)", "--x", ONES], 2, "exceeds the digit limit"),
+        # results too long to print: the density edges, and the coefficients
+        # of a cubed polynomial, which every ml and eval record carries
+        ("m2.json", ["density", "--lo", f"1/{TEN_2500 + 1}", "--hi", f"1/{TEN_2500}",
+                     "--bins", "3"], 3, "exceeds ceiling 4300"),
+        ("m2.json", ["density", "--lo", f"1/{TEN_2500 + 1}", "--hi", f"1/{TEN_2500}",
+                     "--bins", "3", "--machine"], 3, "exceeds ceiling 4300"),
+        ("m2.json", ["ml", "solve", f"(^ (+ x1 {SEVENS}) 3)", "--slots", "1", "--bound", "1"],
+         3, "exceeds ceiling 4300"),
+        ("m2.json", ["ml", "solve", f"(^ (+ x1 {SEVENS}) 3)", "--slots", "1", "--bound", "1",
+                     "--machine"], 3, "exceeds ceiling 4300"),
+        ("m2.json", ["eval", f"(= (^ (+ x1 {SEVENS}) 3) 0)", "--x", "1", "--machine"],
+         3, "exceeds ceiling 4300"),
     ],
 )
 def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
@@ -363,6 +431,7 @@ def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
     assert rc == code
     assert out == ""
     assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
     assert fragment in err
 
 
