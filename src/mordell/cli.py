@@ -399,6 +399,8 @@ def cmd_ml(args, gamma: GammaSpec) -> dict:
     n = args.slots
     if n < 1:
         raise InputError("--slots must be >= 1")
+    if 2 * n > args.ceiling:  # every exponent vector and box tuple has length 2n
+        raise QuotientCeilingError(2 * n, args.ceiling)
     p = parse_poly(args.poly, 2 * n)
     poly = format_poly(p)
     record = {"command": f"ml-{args.ml_op}", "poly": poly, "slots": n, "bound": args.bound}
@@ -674,7 +676,7 @@ def _common_parser() -> argparse.ArgumentParser:
         help=(
             "largest residue enumeration or coefficient box search "
             "(ml solve/verify/suggest, eval, point decompose) allowed before "
-            "giving up (exit 3)"
+            "giving up (exit 3); ml also exits 3 when 2 * --slots exceeds it"
         ),
     )
     common.add_argument(

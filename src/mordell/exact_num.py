@@ -33,16 +33,37 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"not a canonical rational literal: {text!r}")
     num, slash, den = text.partition("/")
-    try:
-        num, den = int(num), int(den) if slash else 1
-    except ValueError:  # more digits than Python's int-from-str limit
-        raise InputError(
-            f"rational literal of {len(text)} characters exceeds the digit limit"
-            f" {sys.get_int_max_str_digits()}"
-        )
+    num, den = parse_integer(num), parse_integer(den) if slash else 1
     if den == 0:
         raise InputError(f"zero denominator: {text!r}")
     return Fraction(num, den)
+
+
+def parse_integer(text: str) -> int:
+    """int() of a literal already matched as optional minus and digits.
+
+    More digits than Python's int-from-str limit raise InputError instead of
+    the bare ValueError int() would raise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(
+            f"integer literal of {len(text)} characters exceeds the digit limit"
+            f" {sys.get_int_max_str_digits()}"
+        ) from None
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+
+    def coprime_fraction(n: int, d: int) -> Fraction:
+        """Fraction(n, d) for coprime n and d > 0, without a second gcd."""
+        return Fraction._from_coprime_ints(n, d)
+
+else:  # Python 3.10 and 3.11
+
+    def coprime_fraction(n: int, d: int) -> Fraction:
+        """Fraction(n, d) for coprime n and d > 0, without a second gcd."""
+        return Fraction(n, d, _normalize=False)
 
 
 def _decimal_digits(v: int) -> int:

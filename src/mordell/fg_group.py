@@ -272,18 +272,7 @@ class GammaSpec:
     def _free_multiple(self, i: int, k: int) -> GroupPoint:
         cache = self._free_mults[i]
         if k not in cache:
-            step = 1 if k > 0 else -1
-            base = (
-                self.free_gens[i]
-                if step > 0
-                else group_core.negate(self.backend, self.free_gens[i])
-            )
-            j = max((c for c in cache if c * step > 0 and abs(c) < abs(k)), key=abs, default=0)
-            acc = cache[j]
-            while j != k:
-                acc = _add_raw(self.backend, acc, base)
-                j += step
-                cache[j] = acc
+            cache[k] = scalar_mul(self.backend, k, self.free_gens[i])
         return cache[k]
 
     def _tors_multiple(self, j: int, t: int) -> GroupPoint:

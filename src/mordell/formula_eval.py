@@ -24,7 +24,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .exact_num import MultiPoly, _as_fraction, format_rational, parse_rational, poly_eval
+from .exact_num import (
+    MultiPoly,
+    _as_fraction,
+    format_rational,
+    parse_integer,
+    parse_rational,
+    poly_eval,
+)
 from .fg_group import DEFAULT_COEFF_BOUND, DEFAULT_QUOTIENT_CEILING, GammaSpec
 from .group_core import GroupPoint, affine_values, is_identity
 
@@ -290,7 +297,7 @@ def _scan_vars(node: _Node, in_block_n: int | None, seen: dict) -> None:
         m = _VAR_RE.fullmatch(node.text)
         if not m:
             return
-        kind, idx = m.group(1), int(m.group(2))
+        kind, idx = m.group(1), parse_integer(m.group(2))
         if idx < 1:
             raise ParseError(
                 f"variable indices start at 1: {node.text}", node.line, node.col
@@ -324,7 +331,7 @@ def _scan_vars(node: _Node, in_block_n: int | None, seen: dict) -> None:
             raise ParseError(
                 "exists-gamma count must be an integer", count.line, count.col
             )
-        n = int(count.text)
+        n = parse_integer(count.text)
         if n < 1:
             raise ParseError(
                 "exists-gamma needs at least one bound element",
@@ -342,7 +349,7 @@ def _build_poly(node: _Node, arity: int, s: int) -> MultiPoly:
         text = node.text
         m = _VAR_RE.fullmatch(text)
         if m:
-            kind, idx = m.group(1), int(m.group(2))
+            kind, idx = m.group(1), parse_integer(m.group(2))
             pos = idx - 1 if kind == "x" else s + idx - 1
             return MultiPoly.variable(arity, pos)
         try:
@@ -377,11 +384,12 @@ def _build_poly(node: _Node, arity: int, s: int) -> MultiPoly:
         if len(args) != 2:
             raise ParseError("(^ ...) takes a base and an exponent", node.line, node.col)
         exp = args[1]
-        if not (exp.is_atom and _INT_RE.fullmatch(exp.text or "")) or int(exp.text) < 1:
+        e = parse_integer(exp.text) if exp.is_atom and _INT_RE.fullmatch(exp.text or "") else 0
+        if e < 1:
             raise ParseError(
                 "exponent must be a positive integer", exp.line, exp.col
             )
-        return _build_poly(args[0], arity, s) ** int(exp.text)
+        return _build_poly(args[0], arity, s) ** e
     raise ParseError(
         f"expected a polynomial, got {head or node.text!r}", node.line, node.col
     )
@@ -418,7 +426,7 @@ def _build_qf(node: _Node, arity: int, s: int) -> QFFormula:
 def _build_formula(node: _Node, s: int) -> FormulaNode:
     head = _head(node)
     if head == "exists-gamma":
-        n = int(node.items[1].text)
+        n = parse_integer(node.items[1].text)
         return Block(n, _build_qf(node.items[2], s + 2 * n, s))
     if head in ("and", "or", "not") and not _contains_block(node):
         return _build_qf(node, s, s)
@@ -481,7 +489,7 @@ def _scan_vars_poly(node: _Node, seen: dict) -> None:
     if node.text is not None:
         m = _VAR_RE.fullmatch(node.text)
         if m:
-            kind, idx = m.group(1), int(m.group(2))
+            kind, idx = m.group(1), parse_integer(m.group(2))
             if idx < 1:
                 raise ParseError(f"variable index must be >= 1: {node.text}", node.line, node.col)
             if kind == "y":

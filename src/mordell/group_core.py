@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .exact_num import _as_fraction, format_rational, parse_rational
+from .exact_num import _as_fraction, coprime_fraction, format_rational, parse_rational
 
 # -- backends ---------------------------------------------------------------
 
@@ -165,13 +165,17 @@ def _add_raw(backend: Backend, p: GroupPoint, q: GroupPoint) -> GroupPoint:
 
 
 def scalar_mul(backend: Backend, k: int, p: GroupPoint) -> GroupPoint:
-    """k*p by binary double-and-add; negative k goes through the inverse."""
+    """k*p: from division values on curves, by binary double-and-add on the
+    circle; negative k goes through the inverse."""
     if not isinstance(k, int):
         raise InputError(f"scalar must be an int, got {type(k).__name__}")
     _require_on_variety(backend, p)
     if k < 0:
         p = negate(backend, p)
         k = -k
+    if isinstance(backend, Curve):
+        return _curve_multiple(backend, k, p)
+    # circle heights grow linearly in k, so plain Fraction steps stay cheap
     acc: GroupPoint = IDENTITY
     base = p
     while k:
@@ -181,6 +185,97 @@ def scalar_mul(backend: Backend, k: int, p: GroupPoint) -> GroupPoint:
         if k:
             base = _add_raw(backend, base, base)
     return acc
+
+
+def _curve_multiple(curve: Curve, k: int, p: GroupPoint) -> GroupPoint:
+    """k*p for k >= 0 from the division values psi_n(P) (Ward's elliptic
+    divisibility recurrences), with coordinates reduced by gcds against a
+    small number only.
+
+    The point is scaled to (X, Y) = (s^2 x, s^3 y), integral on the integral
+    curve y^2 = x^3 + A x + B with A = s^4 a, B = s^6 b.  There
+        x(kP) = (X psi_k^2 - psi_{k-1} psi_{k+1}) / (psi_k^2 s^2),
+        y(kP) = (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / (4 Y psi_k^3 s^3),
+    and a prime dividing a numerator and its denominator divides
+    S = 6 (4A^3 + 27B^2) Y s: the integral parts share only primes of bad
+    reduction (Ayad, Manuscripta Math. 76, 1992), and 4Y and s add their own.
+    """
+    if is_identity(p) or k < 2 or p.y == 0:  # O or P; y == 0 means order 2
+        return p if k % 2 else IDENTITY
+    u, _, _ = _integral_model(curve)
+    den = (p.x * u**2).denominator
+    w = math.isqrt(den)
+    if w * w != den:
+        raise ArithmeticError(f"x-denominator {den} on the integral model is not a square")
+    s = u * w
+    A, B = (curve.a * s**4).numerator, (curve.b * s**6).numerator
+    X, Y = (p.x * s**2).numerator, (p.y * s**3).numerator
+    psi = _division_values(range(k - 2, k + 3), X, Y, A, B)
+    if psi[k] == 0:
+        return IDENTITY
+    sq = psi[k] * psi[k]
+    bad = 6 * (4 * A**3 + 27 * B**2) * Y * s
+    x = _reduced(X * sq - psi[k - 1] * psi[k + 1], sq * s**2, bad)
+    y = _reduced(
+        psi[k + 2] * psi[k - 1] ** 2 - psi[k - 2] * psi[k + 1] ** 2,
+        4 * Y * sq * psi[k] * s**3,
+        bad,
+    )
+    return Affine(x, y)
+
+
+def _division_values(wanted, X: int, Y: int, A: int, B: int) -> dict[int, int]:
+    """psi_n at the integral point (X, Y), Y != 0, for every n >= 0 in
+    wanted and the halved indices they are built from."""
+    needed: set[int] = set()
+    frontier = set(wanted)
+    while frontier:
+        needed |= frontier
+        # psi_{2m+1} uses psi_{m-1}..psi_{m+2}; psi_{2m} uses psi_{m-2}..psi_{m+2}
+        frontier = {
+            j
+            for n in frontier
+            if n > 4
+            for j in range(n // 2 - 2 + n % 2, n // 2 + 3)
+        } - needed
+    X2 = X * X
+    psi = {
+        0: 0,
+        1: 1,
+        2: 2 * Y,
+        3: 3 * X2 * X2 + 6 * A * X2 + 12 * B * X - A * A,
+        4: 4 * Y * (X2**3 + 5 * A * X2 * X2 + 20 * B * X2 * X - 5 * A * A * X2
+                    - 4 * A * B * X - 8 * B * B - A**3),
+    }
+    two_y = 2 * Y
+    for n in sorted(needed):
+        if n <= 4:
+            continue
+        m = n // 2
+        if n % 2:
+            psi[n] = psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3
+        else:
+            q, r = divmod(
+                psi[m] * (psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2),
+                two_y,
+            )
+            if r:
+                raise ArithmeticError(f"division value psi_{n} is not integral")
+            psi[n] = q
+    return psi
+
+
+def _reduced(n: int, d: int, bad: int) -> Fraction:
+    """n/d in lowest terms, given that every prime shared by n and d divides
+    bad; each gcd has the small bad as one argument, so it takes linear time."""
+    if d < 0:
+        n, d = -n, -d
+    g = math.gcd(math.gcd(n, bad), d)
+    while g > 1:
+        n //= g
+        d //= g
+        g = math.gcd(math.gcd(n, bad), d)
+    return coprime_fraction(n, d)
 
 
 def naive_height(p: GroupPoint) -> int:

@@ -4,12 +4,22 @@ These deliberately avoid the production code paths: the Smith form oracle
 diagonalizes with explicit elementary operations and never tracks the
 transforms; the torsion oracles find finite-order points by exhaustion,
 once over an enumerated point list and once over the classical integral
-candidates (y = 0 or y^2 dividing the discriminant term).
+candidates (y = 0 or y^2 dividing the discriminant term); multiples k*P
+come from binary double-and-add over the chord-tangent law, not from
+division values.
 """
 
 import math
 
-from mordell.group_core import add, enumerate_rational_points, is_identity, point
+from mordell.group_core import (
+    IDENTITY,
+    _add_raw,
+    add,
+    enumerate_rational_points,
+    is_identity,
+    negate,
+    point,
+)
 
 
 def naive_invariant_factors(mat) -> list[int]:
@@ -125,3 +135,19 @@ def nagell_lutz_torsion(curve, cap: int = 16):
                 if brute_point_order(curve, p, cap) is not None:
                     found.append(p)
     return found
+
+
+def double_and_add_mul(backend, k: int, p):
+    """k*p by binary double-and-add; negative k goes through the inverse."""
+    if k < 0:
+        p = negate(backend, p)
+        k = -k
+    acc = IDENTITY
+    base = p
+    while k:
+        if k & 1:
+            acc = _add_raw(backend, acc, base)
+        k >>= 1
+        if k:
+            base = _add_raw(backend, base, base)
+    return acc

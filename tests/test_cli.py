@@ -424,6 +424,16 @@ TEN_2500 = 10**2500
                      "--machine"], 3, "exceeds ceiling 4300"),
         ("m2.json", ["eval", f"(= (^ (+ x1 {SEVENS}) 3) 0)", "--x", "1", "--machine"],
          3, "exceeds ceiling 4300"),
+        # integer literals of the formula grammar past the digit limit
+        ("m2.json", ["eval", f"(= (^ x1 {ONES}) 0)", "--x", "1"], 2, "exceeds the digit limit"),
+        ("m2.json", ["eval", f"(exists-gamma {ONES} (= x1 y1))", "--x", "1"], 2,
+         "exceeds the digit limit"),
+        ("m2.json", ["eval", f"(= x{ONES} 0)", "--x", "1"], 2, "exceeds the digit limit"),
+        ("m2.json", ["ml", "solve", f"(- x{ONES} x3)", "--slots", "2", "--bound", "1"], 2,
+         "exceeds the digit limit"),
+        # the slot count alone exceeds the ceiling, before any box is built
+        ("m2.json", ["ml", "solve", "(- x1 x3)", "--slots", "1000000000", "--bound", "0"], 3,
+         "size 2000000000 exceeds ceiling 1000000"),
     ],
 )
 def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):

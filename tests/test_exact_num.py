@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 from mordell.errors import InputError
 from mordell.exact_num import (
     MultiPoly,
+    coprime_fraction,
     format_rational,
+    parse_integer,
     parse_rational,
     poly_eval,
     sum_of_squares_combine,
@@ -39,6 +41,22 @@ def test_parse_rational_rejects(text):
 @given(st.fractions(max_denominator=10**6))
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@given(st.fractions(), st.integers(0, 10**400))
+def test_coprime_fraction_equals_fraction(q, big):
+    # a large coprime pair as well as a small one
+    for n, d in ((q.numerator, q.denominator), (big * 2 + 1, 2**1500)):
+        f = coprime_fraction(n, d)
+        assert type(f) is Fraction
+        assert f == Fraction(n, d)
+        assert (f.numerator, f.denominator) == (Fraction(n, d).numerator, Fraction(n, d).denominator)
+
+
+def test_parse_integer():
+    assert parse_integer("-120") == -120
+    with pytest.raises(InputError, match="exceeds the digit limit"):
+        parse_integer("1" * 5000)
 
 
 # -- polynomial ring laws -----------------------------------------------------------

@@ -1,9 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mordell.errors import InputError
+from mordell.fg_group import Coords
 from mordell.group_core import (
     IDENTITY,
     add,
@@ -23,7 +26,7 @@ from mordell.group_core import (
     torsion_subgroup,
 )
 
-from .oracles import brute_point_order, brute_torsion_points
+from .oracles import brute_point_order, brute_torsion_points, double_and_add_mul
 
 
 def test_singular_curve_rejected():
@@ -101,6 +104,78 @@ def test_scalar_mul(curve_01, curve_m2):
         curve_m2, scalar_mul(curve_m2, 2, p), scalar_mul(curve_m2, 2, p)
     )
     assert scalar_mul(curve_m2, -3, p) == negate(curve_m2, scalar_mul(curve_m2, 3, p))
+
+
+def _assert_same_multiple(backend, k, p, q=None):
+    """scalar_mul (or q, when given) equals the double-and-add oracle in
+    numerator and denominator, and is in lowest terms."""
+    got = scalar_mul(backend, k, p) if q is None else q
+    want = double_and_add_mul(backend, k, p)
+    if is_identity(want):
+        assert is_identity(got)
+        return
+    for g, w in ((got.x, want.x), (got.y, want.y)):
+        assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+        assert math.gcd(g.numerator, g.denominator) == 1
+        assert g.denominator > 0
+
+
+@st.composite
+def _integral_case(draw):
+    """(a, b, x, y) with an integral point (x, y), |a| <= 40 and |b| <= 150;
+    y = 0 gives a point of order 2."""
+    a = draw(st.integers(-40, 40))
+    x = draw(st.integers(-6, 6))
+    y = draw(st.integers(0, 14))
+    b = y * y - x**3 - a * x
+    assume(abs(b) <= 150 and 4 * a**3 + 27 * b * b != 0)
+    return Fraction(a), Fraction(b), Fraction(x), Fraction(y)
+
+
+# (a, b, x, y) of points of order 3, 4, 6 and 7
+_TORSION_CASES = st.sampled_from(
+    [(0, 1, 0, 1), (0, 4, 0, 2), (4, 0, 2, 4), (0, 1, 2, 3), (-43, 166, 3, 8)]
+).map(lambda c: tuple(Fraction(v) for v in c))
+
+
+@st.composite
+def _curve_point(draw):
+    """A curve with a point on it: integral or torsion, optionally replaced
+    by a small multiple (non-integral points), then optionally moved to a
+    curve with rational a and b by (x, y) -> (t^2 x, t^3 y)."""
+    a, b, x, y = draw(st.one_of(_integral_case(), _TORSION_CASES))
+    curve = make_curve(a, b)
+    p = point(curve, x, y)
+    j = draw(st.integers(1, 3))
+    p = double_and_add_mul(curve, j, p)
+    assume(not is_identity(p))
+    t = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    curve = make_curve(a * t**4, b * t**6)
+    return curve, point(curve, p.x * t**2, p.y * t**3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_curve_point(), st.integers(-80, 80))
+def test_scalar_mul_matches_double_and_add(case, k):
+    curve, p = case
+    _assert_same_multiple(curve, k, p)
+
+
+def test_scalar_mul_matches_double_and_add_pinned(curve_m2, gamma_2p):
+    p = point(curve_m2, 3, 5)
+    for k in (200, 300):
+        _assert_same_multiple(curve_m2, k, p)
+    c17 = make_curve(0, 17)
+    _assert_same_multiple(c17, 150, point(c17, -1, 4))
+    g = gamma_2p.free_gens[0]
+    for k in range(-60, 61):
+        _assert_same_multiple(curve_m2, k, g)
+        _assert_same_multiple(curve_m2, k, g, gamma_2p.realize(Coords((k,))))
+    rational = make_curve(Fraction(1, 16), Fraction(3, 64))
+    for q in (point(rational, Fraction(3, 2), Fraction(15, 8)),
+              point(rational, Fraction(-1, 4), Fraction(1, 8))):
+        for k in range(-40, 41):
+            _assert_same_multiple(rational, k, q)
 
 
 def test_naive_height(curve_m2):
