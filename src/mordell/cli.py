@@ -448,7 +448,8 @@ def _read_decomposition(text: str) -> MLDecomposition:
 
 
 def cmd_eval(args, gamma: GammaSpec) -> dict:
-    f = parse(args.formula)
+    # every polynomial is built at the largest arity, so it counts first
+    f = parse(args.formula, max_arity=args.ceiling)
     if args.x is None or args.x.strip() == "":
         xs: list[Fraction] = []
     else:
@@ -676,7 +677,8 @@ def _common_parser() -> argparse.ArgumentParser:
         help=(
             "largest residue enumeration or coefficient box search "
             "(ml solve/verify/suggest, eval, point decompose) allowed before "
-            "giving up (exit 3); ml also exits 3 when 2 * --slots exceeds it"
+            "giving up (exit 3); ml also exits 3 when 2 * --slots exceeds it, "
+            "and eval when its largest x index + 2 * exists-gamma count does"
         ),
     )
     common.add_argument(

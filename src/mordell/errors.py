@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps InputError (and subclasses) to exit code 2 and
-QuotientCeilingError to exit code 3.
+QuotientCeilingError (DigitLimitError included) to exit code 3.
 """
 
 
@@ -22,11 +22,23 @@ class PreconditionError(RuntimeError):
 
 class QuotientCeilingError(RuntimeError):
     """A quotient, residue or coefficient-box enumeration would exceed the
-    configured ceiling, or a number has too many digits to print."""
+    configured ceiling."""
 
     def __init__(self, attempted: int, ceiling: int):
         self.attempted = attempted
         self.ceiling = ceiling
-        super().__init__(
-            f"residue enumeration of size {attempted} exceeds ceiling {ceiling}"
+        super().__init__(self._message())
+
+    def _message(self) -> str:
+        return f"residue enumeration of size {self.attempted} exceeds ceiling {self.ceiling}"
+
+
+class DigitLimitError(QuotientCeilingError):
+    """A number has more decimal digits than the int-to-str limit lets
+    print; attempted is its digit count."""
+
+    def _message(self) -> str:
+        return (
+            f"number of {self.attempted} digits exceeds ceiling {self.ceiling},"
+            " the int-to-str digit limit"
         )

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, QuotientCeilingError
+from .errors import DigitLimitError, InputError
 
 # The one rational type used across the package.
 Rational = Fraction
@@ -78,8 +78,8 @@ def format_rational(q: Fraction) -> str:
     """Canonical text: "num/den" in lowest terms, integers without "/1".
 
     A numerator or denominator too long for Python's int-to-str digit limit
-    raises QuotientCeilingError instead of the bare ValueError str() would
-    raise."""
+    raises DigitLimitError (exit 3) instead of the bare ValueError str()
+    would raise."""
     limit = sys.get_int_max_str_digits()
     if limit:
         for v in (q.numerator, q.denominator):
@@ -87,7 +87,7 @@ def format_rational(q: Fraction) -> str:
             if v.bit_length() > 3 * limit:
                 digits = _decimal_digits(v)
                 if digits > limit:
-                    raise QuotientCeilingError(digits, limit)
+                    raise DigitLimitError(digits, limit)
     return str(q)
 
 

@@ -23,14 +23,15 @@ from .group_core import (
     Backend,
     GroupPoint,
     IDENTITY,
+    TORSION_EXPONENT,
     TorsionGroup,
     _add_raw,
+    good_reduction,
     group_structure,
     is_identity,
+    is_torsion,
     naive_height,
-    point_order,
     scalar_mul,
-    torsion_subgroup,
     validate_backend,
 )
 from .intlinalg import kernel_basis
@@ -211,7 +212,7 @@ class GammaSpec:
                 raise SpecValidationError(
                     f"generator {group_core.format_point(g)} is not on the variety"
                 )
-            if is_identity(g) or point_order(backend, g) is not None:
+            if is_torsion(backend, g):
                 torsion_gens.append(g)
             else:
                 free.append(g)
@@ -241,14 +242,28 @@ class GammaSpec:
         r = self.rank
         if r == 0 or self.audit_bound < 1:
             return
-        backend_torsion = set(_span(self.backend, torsion_subgroup(self.backend).generators))
+        # Screen mod a good prime: a torsion sum of the k_i*g_i reduces to a
+        # point that TORSION_EXPONENT kills, so a vector whose reduced sum of
+        # k_i*h_i, h_i = TORSION_EXPONENT*g_i, is not the identity has a sum
+        # of infinite order.  Only the rare survivors are summed exactly.
+        red = good_reduction(self.backend, self.free_gens)
+        b = self.audit_bound
+        mults = []
+        for g in self.free_gens:
+            h = red.mul(TORSION_EXPONENT, red.point(g))
+            mults.append({k: red.mul(k, h) for k in range(-b, b + 1)})
         # shell order reports a relation of least max-norm
-        for m in range(1, self.audit_bound + 1):
+        for m in range(1, b + 1):
             for k in shell(r, m):
-                s: GroupPoint = IDENTITY
+                s = None
                 for i, ki in enumerate(k):
-                    s = _add_raw(self.backend, s, self._free_multiple(i, ki))
-                if s in backend_torsion:
+                    s = red.add(s, mults[i][ki])
+                if s is not None:
+                    continue
+                p: GroupPoint = IDENTITY
+                for i, ki in enumerate(k):
+                    p = _add_raw(self.backend, p, self._free_multiple(i, ki))
+                if is_torsion(self.backend, p):
                     rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
                     raise SpecValidationError(
                         f"free generators fail the independence audit: {rel} is torsion"

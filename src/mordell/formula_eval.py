@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, QuotientCeilingError
 from .exact_num import (
     MultiPoly,
     _as_fraction,
@@ -292,7 +292,8 @@ def _contains_block(node: _Node) -> bool:
 
 
 def _scan_vars(node: _Node, in_block_n: int | None, seen: dict) -> None:
-    """Record the largest x index; validate y usage and block shape."""
+    """Record the largest x index and block count; validate y usage and
+    block shape."""
     if node.is_atom:
         m = _VAR_RE.fullmatch(node.text)
         if not m:
@@ -338,6 +339,7 @@ def _scan_vars(node: _Node, in_block_n: int | None, seen: dict) -> None:
                 count.line,
                 count.col,
             )
+        seen["max_n"] = max(seen["max_n"], n)
         _scan_vars(node.items[2], n, seen)
         return
     for it in node.items:
@@ -444,11 +446,15 @@ def _build_formula(node: _Node, s: int) -> FormulaNode:
     return _build_qf(node, s, s)
 
 
-def parse(text: str, free_arity: int | None = None) -> Formula:
+def parse(
+    text: str, free_arity: int | None = None, max_arity: int | None = None
+) -> Formula:
     """Parse a formula; the free arity s is the largest x index unless given
-    explicitly (an explicit s below a used index is an arity clash)."""
+    explicitly (an explicit s below a used index is an arity clash).  The
+    largest polynomial arity, s + 2 * (largest exists-gamma count), above
+    max_arity raises QuotientCeilingError before any polynomial is built."""
     tree = _read_all(text)
-    seen = {"max_x": 0}
+    seen = {"max_x": 0, "max_n": 0}
     _scan_vars(tree, None, seen)
     if free_arity is None:
         s = seen["max_x"]
@@ -458,6 +464,9 @@ def parse(text: str, free_arity: int | None = None) -> Formula:
                 f"declared free arity {free_arity} but x{seen['max_x']} is used"
             )
         s = free_arity
+    arity = s + 2 * seen["max_n"]
+    if max_arity is not None and arity > max_arity:
+        raise QuotientCeilingError(arity, max_arity)
     return Formula(_build_formula(tree, s), s)
 
 

@@ -416,6 +416,101 @@ def point_order(backend: Backend, p: GroupPoint, cap: int = _MAX_CURVE_TORSION_O
     return None
 
 
+def is_torsion(backend: Backend, p: GroupPoint) -> bool:
+    """Whether p has finite order, without the torsion subgroup.
+
+    By Nagell-Lutz a torsion point has integer coordinates on the integral
+    model, and the circle's are the four with integer coordinates; so only
+    integral points pay for the order scan."""
+    if is_identity(p):
+        return True
+    u = _integral_model(backend)[0] if isinstance(backend, Curve) else 1
+    if (p.x * u**2).denominator != 1 or (p.y * u**3).denominator != 1:
+        return False
+    return point_order(backend, p) is not None
+
+
+# lcm(1..12) kills every rational torsion point of a curve or the circle
+TORSION_EXPONENT = 27720
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """The group law mod a prime ell of good reduction, on the integral model.
+
+    Reduction is a homomorphism there, so a point of order n reduces to one
+    whose order divides n.  A reduced point is a pair of residues; None is
+    the identity.  point() needs a coordinate denominator prime to ell, as
+    good_reduction guarantees for the points it was given."""
+
+    backend: Backend
+    ell: int
+    u: int
+    a: int  # a' mod ell on curves
+
+    def point(self, p: GroupPoint) -> tuple[int, int] | None:
+        if is_identity(p):
+            return None
+        x, y = p.x * self.u**2, p.y * self.u**3
+        ell = self.ell
+        r = (
+            x.numerator * pow(x.denominator, -1, ell) % ell,
+            y.numerator * pow(y.denominator, -1, ell) % ell,
+        )
+        return None if isinstance(self.backend, Circle) and r == (1, 0) else r
+
+    def add(self, p, q):
+        if p is None:
+            return q
+        if q is None:
+            return p
+        ell = self.ell
+        (x1, y1), (x2, y2) = p, q
+        if isinstance(self.backend, Circle):
+            r = ((x1 * x2 - y1 * y2) % ell, (x1 * y2 + x2 * y1) % ell)
+            return None if r == (1, 0) else r
+        if x1 == x2:
+            if (y1 + y2) % ell == 0:
+                return None
+            lam = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, ell) % ell
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+        x3 = (lam * lam - x1 - x2) % ell
+        return x3, (lam * (x1 - x3) - y1) % ell
+
+    def mul(self, k: int, p):
+        if k < 0:
+            k = -k
+            if p is not None:
+                p = (p[0], -p[1] % self.ell)
+        acc = None
+        while k:
+            if k & 1:
+                acc = self.add(acc, p)
+            k >>= 1
+            if k:
+                p = self.add(p, p)
+        return acc
+
+
+def good_reduction(backend: Backend, points: Sequence[GroupPoint]) -> Reduction:
+    """Reduction mod the first prime ell >= 10007 that divides neither
+    6(4a'^3 + 27b'^2) of the integral model nor any coordinate denominator
+    of points there."""
+    if isinstance(backend, Curve):
+        u, a, b = _integral_model(backend)
+        bad = 6 * (4 * a**3 + 27 * b**2)
+    else:
+        u, a, bad = 1, 0, 2
+    for p in points:
+        if not is_identity(p):
+            bad *= (p.x * u**2).denominator * (p.y * u**3).denominator
+    ell = 10007
+    while bad % ell == 0 or any(ell % d == 0 for d in range(3, math.isqrt(ell) + 1, 2)):
+        ell += 2
+    return Reduction(backend, ell, u, a % ell)
+
+
 @dataclass(frozen=True)
 class TorsionGroup:
     """A finite abelian group given by invariant factors d1 | d2 | ... and
@@ -429,32 +524,45 @@ class TorsionGroup:
         return math.prod(self.invariant_factors)
 
 
-def _int_prime_factors(n: int) -> dict[int, int]:
+# trial division tries no divisor above this, so a denominator with only
+# large prime factors costs a few hundred divisions, not sqrt(denominator)
+_TRIAL_DIVISION_BOUND = 1000
+
+
+def _int_prime_factors(n: int) -> tuple[dict[int, int], int]:
+    """The prime factorization of |n| as far as trial division up to
+    _TRIAL_DIVISION_BOUND gets, and the cofactor left: 1, or a product of
+    primes above the bound."""
     n = abs(n)
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= _TRIAL_DIVISION_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
+    if n > 1 and d * d > n:  # no factor below sqrt(n): n is prime
         out[n] = out.get(n, 0) + 1
-    return out
+        n = 1
+    return out, n
 
 
 def _integral_model(curve: Curve) -> tuple[int, int, int]:
-    """Smallest u >= 1 with a*u^4 and b*u^6 integral; returns (u, a', b').
+    """A u >= 1 with a*u^4 and b*u^6 integral; returns (u, a', b').
 
     (x, y) -> (u^2 x, u^3 y) carries y^2 = x^3 + ax + b to
-    y'^2 = x'^3 + a'x' + b' with a' = a u^4, b' = b u^6.
+    y'^2 = x'^3 + a'x' + b' with a' = a u^4, b' = b u^6.  u is the smallest
+    such when trial division factors both denominators; an unfactored
+    cofactor enters u whole, which keeps the model integral, if not minimal.
     """
     exps: dict[int, int] = {}
-    for p, e in _int_prime_factors(curve.a.denominator).items():
-        exps[p] = max(exps.get(p, 0), -(-e // 4))
-    for p, e in _int_prime_factors(curve.b.denominator).items():
-        exps[p] = max(exps.get(p, 0), -(-e // 6))
-    u = math.prod(p**e for p, e in exps.items()) if exps else 1
+    rest = 1
+    for den, w in ((curve.a.denominator, 4), (curve.b.denominator, 6)):
+        factors, cofactor = _int_prime_factors(den)
+        for p, e in factors.items():
+            exps[p] = max(exps.get(p, 0), -(-e // w))
+        rest = math.lcm(rest, cofactor)
+    u = rest * math.prod(p**e for p, e in exps.items())
     a_i = curve.a * u**4
     b_i = curve.b * u**6
     assert a_i.denominator == 1 and b_i.denominator == 1

@@ -6,11 +6,13 @@ transforms; the torsion oracles find finite-order points by exhaustion,
 once over an enumerated point list and once over the classical integral
 candidates (y = 0 or y^2 dividing the discriminant term); multiples k*P
 come from binary double-and-add over the chord-tangent law, not from
-division values.
+division values; the independence audit tests every sum of its box against
+the full torsion subgroup, with no screen mod a prime.
 """
 
 import math
 
+from mordell.fg_group import _span, shell
 from mordell.group_core import (
     IDENTITY,
     _add_raw,
@@ -19,6 +21,7 @@ from mordell.group_core import (
     is_identity,
     negate,
     point,
+    torsion_subgroup,
 )
 
 
@@ -151,3 +154,23 @@ def double_and_add_mul(backend, k: int, p):
         if k:
             base = _add_raw(backend, base, base)
     return acc
+
+
+def audit_by_torsion_set(backend, generators, audit_bound: int = 8):
+    """The independence audit summed exactly over its whole box.
+
+    The generators of infinite order are combined over every coefficient
+    vector of max-norm 1..audit_bound in shell order, and each sum is looked
+    up in the full torsion subgroup.  Returns the audit's message for the
+    first relation found, or None."""
+    free = [g for g in generators if brute_point_order(backend, g, cap=12) is None]
+    torsion = set(_span(backend, torsion_subgroup(backend).generators))
+    for m in range(1, audit_bound + 1):
+        for k in shell(len(free), m):
+            s = IDENTITY
+            for ki, g in zip(k, free):
+                s = _add_raw(backend, s, double_and_add_mul(backend, ki, g))
+            if s in torsion:
+                rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
+                return f"free generators fail the independence audit: {rel} is torsion"
+    return None

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from mordell import cli
+from mordell import cli, group_core
+from mordell.errors import InputError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -434,6 +435,12 @@ TEN_2500 = 10**2500
         # the slot count alone exceeds the ceiling, before any box is built
         ("m2.json", ["ml", "solve", "(- x1 x3)", "--slots", "1000000000", "--bound", "0"], 3,
          "size 2000000000 exceeds ceiling 1000000"),
+        # eval's polynomial arity, largest x index + 2 * exists-gamma count,
+        # exceeds the ceiling before any polynomial is built
+        ("m2.json", ["eval", "(= x10000000 0)", "--x", "1"], 3,
+         "size 10000000 exceeds ceiling 1000000"),
+        ("m2.json", ["eval", "(exists-gamma 3000000 (= x1 y1))", "--x", "1", "--bound", "0"], 3,
+         "size 6000001 exceeds ceiling 1000000"),
     ],
 )
 def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
@@ -443,6 +450,40 @@ def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "args,digits",
+    [
+        (["point", "mul", "80", "(3, 5)"], 5626),
+        (["density", "--lo", f"1/{TEN_2500 + 1}", "--hi", f"1/{TEN_2500}", "--bins", "3"], 5001),
+        (["eval", f"(= (^ (+ x1 {SEVENS}) 3) 0)", "--x", "1", "--machine"], 6000),
+    ],
+)
+def test_digit_limit_has_its_own_message(args, digits, spec_dir, capsys):
+    # a number too long to print is not a residue enumeration: the message
+    # names its digit count and the limit
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, ["--no-cache"]))
+    assert (rc, out) == (3, "")
+    assert err == (
+        f"error: number of {digits} digits exceeds ceiling 4300, the int-to-str digit limit\n"
+    )
+
+
+def test_spec_load_never_computes_the_torsion_subgroup(spec_dir, spec_file, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spec load computed the torsion subgroup")
+
+    monkeypatch.setattr(group_core, "torsion_subgroup", refuse)
+    monkeypatch.setattr(group_core, "_torsion_points", refuse)
+    big_disc = spec_file(
+        {"kind": "curve", "a": "-10012", "b": "346900", "generators": [["4", "554"]], "rank": 1}
+    )
+    paths = [str(spec_dir / name) for name in SPECS if name != "sing.json"] + [big_disc]
+    for path in paths:
+        cli.load_group_spec(path)
+    with pytest.raises(InputError, match="singular curve"):
+        cli.load_group_spec(str(spec_dir / "sing.json"))
 
 
 def test_argparse_rejection_exits_2(spec_dir, capsys):

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mordell.errors import (
     InputError,
@@ -12,6 +13,7 @@ from mordell.errors import (
 from mordell.fg_group import Coords, GammaSpec, Undecided
 from mordell.group_core import (
     IDENTITY,
+    Circle,
     add,
     format_point,
     is_identity,
@@ -20,6 +22,8 @@ from mordell.group_core import (
     point,
     scalar_mul,
 )
+
+from .oracles import audit_by_torsion_set
 
 
 def test_generator_split_and_rank(gamma_p, gamma_torsion, gamma_circle):
@@ -49,6 +53,63 @@ def test_audit_reports_a_relation_of_least_norm():
     with pytest.raises(SpecValidationError) as exc:
         GammaSpec(curve, [point(curve, 1, 2), point(curve, -1, 4)])
     assert str(exc.value).endswith(": -2*g1 + -1*g2 is torsion")
+
+
+# (a, b, points of infinite order, torsion points); on y^2 = x^3 - 7x + 10
+# the two points satisfy 2*g1 + g2 = O
+_AUDIT_FAMILIES = [
+    (0, -2, [(3, 5)], []),
+    (0, 17, [(-2, 3), (-1, 4)], []),
+    (0, 8, [(1, 3)], [(-2, 0)]),
+    (-36, 0, [(-3, 9)], [(0, 0), (6, 0), (-6, 0)]),
+    (-7, 10, [(1, 2), (-1, 4)], []),
+    (None, None, [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13))],
+     [(0, 1), (-1, 0), (0, -1)]),
+]
+
+
+@st.composite
+def _audit_spec(draw):
+    """A backend and a rank-1 or rank-2 generator list: g1 = c*F + T, and g2
+    either another such combination or the dependent m*g1 + t; curves are
+    optionally moved to rational a and b by (t^2 x, t^3 y), and a torsion
+    generator may ride along."""
+    a, b, free, tors = draw(st.sampled_from(_AUDIT_FAMILIES))
+    if a is None:
+        backend, scale = Circle(), Fraction(1)
+    else:
+        scale = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)]))
+        backend = make_curve(a * scale**4, b * scale**6)
+    pts = [point(backend, x * scale**2, y * scale**3) for x, y in free + tors]
+    free_pts, tors_pts = pts[: len(free)], [IDENTITY, *pts[len(free):]]
+
+    def combo():
+        c = draw(st.sampled_from([1, -1, 2, -3]))
+        f = draw(st.sampled_from(free_pts))
+        return add(backend, scalar_mul(backend, c, f), draw(st.sampled_from(tors_pts)))
+
+    gens = [combo()]
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            gens.append(combo())
+        else:
+            m = draw(st.integers(-3, 3))
+            gens.append(add(backend, scalar_mul(backend, m, gens[0]), draw(st.sampled_from(tors_pts))))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(tors_pts)))
+    return backend, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(_audit_spec())
+def test_screened_audit_matches_exact_oracle(case):
+    backend, gens = case
+    try:
+        GammaSpec(backend, gens)
+        got = None
+    except SpecValidationError as exc:
+        got = str(exc)
+    assert got == audit_by_torsion_set(backend, gens)
 
 
 def test_coords_rendering():

@@ -1,19 +1,24 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mordell.errors import InputError
-from mordell.fg_group import Coords
+from mordell.fg_group import Coords, GammaSpec
 from mordell.group_core import (
     IDENTITY,
+    Circle,
+    _add_raw,
     add,
     component_of,
     enumerate_rational_points,
     format_point,
+    good_reduction,
     is_identity,
+    is_torsion,
     make_curve,
     naive_height,
     negate,
@@ -248,6 +253,87 @@ def test_point_order_matches_brute(curve_01):
         fast = point_order(curve_01, p)
         brute = brute_point_order(curve_01, p, cap=12)
         assert fast == brute
+
+
+# (a, b, x, y): a generator of each table curve's torsion group (orders 6,
+# 3, 4 and 7; y^2 = x^3 - 2 has none) and the 2-torsion of y^2 = x^3 - x
+_TABLE_TORSION = [
+    (0, 1, 2, 3), (0, 4, 0, 2), (4, 0, 2, 4), (-43, 166, 3, 8),
+    (-1, 0, 0, 0), (-1, 0, 1, 0), (-1, 0, -1, 0),
+]
+
+
+@st.composite
+def _order_case(draw):
+    """A backend and a point whose order is in question: a multiple of a
+    table curve's torsion point, or of an integral point (non-integral from
+    2P on, as a rule), moved to rational a and b by (t^2 x, t^3 y); or a
+    multiple of a circle point, the four torsion points included."""
+    j = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        circle = Circle()
+        m, n = draw(st.integers(-7, 7)), draw(st.integers(1, 7))
+        p = draw(st.sampled_from([
+            point(circle, 0, 1),
+            point(circle, -1, 0),
+            point(circle, Fraction(n * n - m * m, n * n + m * m), Fraction(2 * m * n, n * n + m * m)),
+        ]))
+        return circle, double_and_add_mul(circle, j, p)
+    a, b, x, y = draw(st.one_of(
+        st.sampled_from(_TABLE_TORSION).map(lambda c: tuple(Fraction(v) for v in c)),
+        _integral_case(),
+    ))
+    t = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    curve = make_curve(a * t**4, b * t**6)
+    return curve, double_and_add_mul(curve, j, point(curve, x * t**2, y * t**3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_order_case())
+def test_is_torsion_matches_brute_order(case):
+    backend, p = case
+    assert is_torsion(backend, p) == (brute_point_order(backend, p, cap=12) is not None)
+
+
+def test_is_torsion_pinned(curve_01, curve_m2, circle):
+    assert is_torsion(curve_01, IDENTITY)
+    assert is_torsion(curve_01, point(curve_01, 2, 3))
+    assert not is_torsion(curve_m2, point(curve_m2, 3, 5))
+    assert not is_torsion(curve_m2, point(curve_m2, Fraction(129, 100), Fraction(-383, 1000)))
+    assert is_torsion(circle, point(circle, 0, -1))
+    assert not is_torsion(circle, point(circle, Fraction(3, 5), Fraction(4, 5)))
+    big = make_curve(-10012, 346900)
+    assert not is_torsion(big, point(big, 4, 554))
+    # (2, 4) of order 4 on y^2 = x^3 + 4x moved to a = 4/81, b = 0: it is
+    # integral only on the integral model
+    c = make_curve(Fraction(4, 81), 0)
+    assert is_torsion(c, point(c, Fraction(2, 9), Fraction(4, 27)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_order_case(), st.integers(-12, 12), st.integers(-12, 12))
+def test_reduction_is_a_homomorphism(case, i, j):
+    backend, p = case
+    p1, p2 = double_and_add_mul(backend, i, p), double_and_add_mul(backend, j, p)
+    s = _add_raw(backend, p1, p2)
+    red = good_reduction(backend, [p, p1, p2, s])
+    assert red.ell >= 10007
+    assert red.point(s) == red.add(red.point(p1), red.point(p2))
+    assert red.mul(i, red.point(p)) == red.point(p1)
+
+
+def test_integral_model_trial_division_is_bounded():
+    # 10^18 + 3 has no prime factor below the trial-division bound, so it
+    # enters u whole instead of being factored up to its square root
+    q = 10**18 + 3
+    curve = make_curve(Fraction(1, q), Fraction(-1, q))
+    g = point(curve, 1, 1)
+    t0 = time.perf_counter()
+    gamma = GammaSpec(curve, [g])
+    kp = scalar_mul(curve, 5, g)
+    assert time.perf_counter() - t0 < 2.0
+    assert gamma.rank == 1
+    assert kp == double_and_add_mul(curve, 5, g)
 
 
 def test_torsion_subgroup_structures(curve_01, curve_m2, circle):
