@@ -42,7 +42,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import coset_engine, ml_checker
-from .errors import InputError, PreconditionError, QuotientCeilingError
+from .errors import ArityCeilingError, InputError, PreconditionError, QuotientCeilingError
 from .exact_num import format_rational, parse_rational
 from .fg_group import (
     Coords,
@@ -400,7 +400,7 @@ def cmd_ml(args, gamma: GammaSpec) -> dict:
     if n < 1:
         raise InputError("--slots must be >= 1")
     if 2 * n > args.ceiling:  # every exponent vector and box tuple has length 2n
-        raise QuotientCeilingError(2 * n, args.ceiling)
+        raise ArityCeilingError(2 * n, args.ceiling)
     p = parse_poly(args.poly, 2 * n)
     poly = format_poly(p)
     record = {"command": f"ml-{args.ml_op}", "poly": poly, "slots": n, "bound": args.bound}
@@ -781,7 +781,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(run=cmd_eval)
     pe.add_argument("formula")
     pe.add_argument(
-        "--x", default=None, help="comma-separated rational values for x1, x2, ..."
+        "--x",
+        default=None,
+        help="one comma-separated list of rational values for x1, x2, ..., "
+        "e.g. --x 3,1/2 (not repeatable: a later --x replaces an earlier one)",
     )
 
     pd2 = sub.add_parser(

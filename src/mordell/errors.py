@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps InputError (and subclasses) to exit code 2 and
-QuotientCeilingError (DigitLimitError included) to exit code 3.
+QuotientCeilingError (ArityCeilingError and DigitLimitError included) to
+exit code 3.
 """
 
 
@@ -31,6 +32,17 @@ class QuotientCeilingError(RuntimeError):
 
     def _message(self) -> str:
         return f"residue enumeration of size {self.attempted} exceeds ceiling {self.ceiling}"
+
+
+class ArityCeilingError(QuotientCeilingError):
+    """A polynomial would have more variables than the ceiling allows;
+    attempted is its arity, the length of every exponent vector."""
+
+    def _message(self) -> str:
+        return (
+            f"polynomial arity {self.attempted}: an exponent vector of size"
+            f" {self.attempted} exceeds ceiling {self.ceiling}"
+        )
 
 
 class DigitLimitError(QuotientCeilingError):

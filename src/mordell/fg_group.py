@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -278,9 +278,6 @@ class GammaSpec:
     @property
     def torsion_factors(self) -> tuple[int, ...]:
         return self.torsion.invariant_factors
-
-    def zero_coords(self) -> Coords:
-        return Coords((0,) * self.rank, (0,) * len(self.torsion_factors))
 
     # -- realize ----------------------------------------------------------------
 

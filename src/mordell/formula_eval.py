@@ -1,29 +1,33 @@
 """S-expression formulas over the group's affine chart and their bounded
 three-valued evaluation.
 
-The shape is a boolean combination of quantifier-free conditions and
-existential blocks "(exists-gamma n qf)": the block asks for n group
-elements whose coordinate pairs, bound to y1..y(2n), satisfy the body
-together with the free variables x1..xs.
+The shape is a boolean combination of comparisons and existential blocks
+"(exists-gamma n qf)": the block asks for n group elements whose coordinate
+pairs, bound to y1..y(2n), satisfy the block-free body together with the
+free variables x1..xs.  One tree holds both: Cmp is the atom, QAnd, QOr
+and QNot are the connectives wherever they stand, and Block appears only
+at the free arity s, since blocks do not nest.
 
 Gamma is infinite, so a block search over a coefficient box can confirm an
 existential but never refute one.  Evaluation is therefore Kleene's strong
 three-valued logic: True carries re-checkable witnesses, False only arises
-from quantifier-free parts and negation, and exhausted searches yield
-Unknown tagged with the bound they died at.
+from comparisons and negation, and exhausted searches yield Unknown tagged
+with the bound they died at.  Inside a block body the connectives' exact
+two-valued `evaluate` runs once per candidate tuple.
 
-Identity convention (shared with the solution search machinery): a
-candidate tuple is skipped, not judged, when it puts the identity in a slot
-whose y-variables the body mentions.
+Identity convention (shared with ml_checker through group_core.slots_used
+and group_core.affine_values): a candidate tuple is skipped, not judged,
+when it puts the identity in a slot whose y-variables the body mentions.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, QuotientCeilingError
+from .errors import ArityCeilingError, InputError
 from .exact_num import (
     MultiPoly,
     _as_fraction,
@@ -33,7 +37,7 @@ from .exact_num import (
     poly_eval,
 )
 from .fg_group import DEFAULT_COEFF_BOUND, DEFAULT_QUOTIENT_CEILING, GammaSpec
-from .group_core import GroupPoint, affine_values, is_identity
+from .group_core import GroupPoint, affine_values, is_identity, slots_used
 
 __all__ = [
     "ParseError",
@@ -42,9 +46,6 @@ __all__ = [
     "QOr",
     "QNot",
     "Block",
-    "FAnd",
-    "FOr",
-    "FNot",
     "Formula",
     "TriBool",
     "parse",
@@ -132,22 +133,7 @@ class Block:
     body: QFFormula
 
 
-@dataclass(frozen=True)
-class FAnd:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class FOr:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class FNot:
-    part: object
-
-
-FormulaNode = QFFormula | Block | FAnd | FOr | FNot
+FormulaNode = QFFormula | Block
 
 
 @dataclass(frozen=True)
@@ -283,14 +269,6 @@ def _head(node: _Node) -> str | None:
     return node.items[0].text
 
 
-def _contains_block(node: _Node) -> bool:
-    if node.is_atom:
-        return False
-    if _head(node) == "exists-gamma":
-        return True
-    return any(_contains_block(it) for it in node.items)
-
-
 def _scan_vars(node: _Node, in_block_n: int | None, seen: dict) -> None:
     """Record the largest x index and block count; validate y usage and
     block shape."""
@@ -397,7 +375,7 @@ def _build_poly(node: _Node, arity: int, s: int) -> MultiPoly:
     )
 
 
-def _build_qf(node: _Node, arity: int, s: int) -> QFFormula:
+def _build_qf(node: _Node, arity: int, s: int) -> FormulaNode:
     head = _head(node)
     if head in ("=", "<", "<="):
         if len(node.items) != 3:
@@ -420,93 +398,58 @@ def _build_qf(node: _Node, arity: int, s: int) -> QFFormula:
         if len(node.items) != 2:
             raise ParseError("(not ...) takes exactly one argument", node.line, node.col)
         return QNot(_build_qf(node.items[1], arity, s))
+    if head == "exists-gamma":
+        # _scan_vars forbids nesting, so this is reached at arity s only
+        n = parse_integer(node.items[1].text)
+        return Block(n, _build_qf(node.items[2], s + 2 * n, s))
     raise ParseError(
         f"expected a condition, got {head or node.text!r}", node.line, node.col
     )
 
 
-def _build_formula(node: _Node, s: int) -> FormulaNode:
-    head = _head(node)
-    if head == "exists-gamma":
-        n = parse_integer(node.items[1].text)
-        return Block(n, _build_qf(node.items[2], s + 2 * n, s))
-    if head in ("and", "or", "not") and not _contains_block(node):
-        return _build_qf(node, s, s)
-    if head == "and" or head == "or":
-        if len(node.items) < 2:
-            raise ParseError(
-                f"({head} ...) needs at least one argument", node.line, node.col
-            )
-        parts = tuple(_build_formula(it, s) for it in node.items[1:])
-        return FAnd(parts) if head == "and" else FOr(parts)
-    if head == "not":
-        if len(node.items) != 2:
-            raise ParseError("(not ...) takes exactly one argument", node.line, node.col)
-        return FNot(_build_formula(node.items[1], s))
-    return _build_qf(node, s, s)
+def _scan(text: str, free_arity: int | None) -> tuple[_Node, int, int]:
+    """Read and validate text; return the tree, the free arity s (the
+    largest x index unless given explicitly; an explicit s below a used
+    index is an arity clash) and the largest exists-gamma count."""
+    tree = _read_all(text)
+    seen = {"max_x": 0, "max_n": 0}
+    _scan_vars(tree, None, seen)
+    if free_arity is None:
+        return tree, seen["max_x"], seen["max_n"]
+    if free_arity < seen["max_x"]:
+        raise InputError(
+            f"declared free arity {free_arity} but x{seen['max_x']} is used"
+        )
+    return tree, free_arity, seen["max_n"]
 
 
 def parse(
     text: str, free_arity: int | None = None, max_arity: int | None = None
 ) -> Formula:
-    """Parse a formula; the free arity s is the largest x index unless given
-    explicitly (an explicit s below a used index is an arity clash).  The
-    largest polynomial arity, s + 2 * (largest exists-gamma count), above
-    max_arity raises QuotientCeilingError before any polynomial is built."""
-    tree = _read_all(text)
-    seen = {"max_x": 0, "max_n": 0}
-    _scan_vars(tree, None, seen)
-    if free_arity is None:
-        s = seen["max_x"]
-    else:
-        if free_arity < seen["max_x"]:
-            raise InputError(
-                f"declared free arity {free_arity} but x{seen['max_x']} is used"
-            )
-        s = free_arity
-    arity = s + 2 * seen["max_n"]
+    """Parse a formula over the free arity s (see _scan).  The largest
+    polynomial arity, s + 2 * (largest exists-gamma count), above max_arity
+    raises ArityCeilingError before any polynomial is built."""
+    tree, s, max_n = _scan(text, free_arity)
+    arity = s + 2 * max_n
     if max_arity is not None and arity > max_arity:
-        raise QuotientCeilingError(arity, max_arity)
-    return Formula(_build_formula(tree, s), s)
+        raise ArityCeilingError(arity, max_arity)
+    return Formula(_build_qf(tree, s, s), s)
 
 
 def parse_qf(text: str, arity: int | None = None) -> QFFormula:
     """Parse a block-free condition over x-variables only."""
-    f = parse(text, arity)
-    if isinstance(f.root, (Block, FAnd, FOr, FNot)):
+    tree, s, max_n = _scan(text, arity)
+    if max_n:
         raise InputError("expected a quantifier-free condition without blocks")
-    return f.root
+    return _build_qf(tree, s, s)
 
 
 def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
     """Parse a bare polynomial over x-variables (no comparisons, no blocks)."""
-    tree = _read_all(text)
-    seen = {"max_x": 0}
-    _scan_vars_poly(tree, seen)
-    if arity is None:
-        s = seen["max_x"]
-        if s == 0:
-            s = 1  # constant polynomial still needs a slot count
-    else:
-        if arity < seen["max_x"]:
-            raise InputError(f"declared arity {arity} but x{seen['max_x']} is used")
-        s = arity
+    tree, s, _ = _scan(text, arity)
+    if arity is None and s == 0:
+        s = 1  # constant polynomial still needs a slot count
     return _build_poly(tree, s, s)
-
-
-def _scan_vars_poly(node: _Node, seen: dict) -> None:
-    if node.text is not None:
-        m = _VAR_RE.fullmatch(node.text)
-        if m:
-            kind, idx = m.group(1), parse_integer(m.group(2))
-            if idx < 1:
-                raise ParseError(f"variable index must be >= 1: {node.text}", node.line, node.col)
-            if kind == "y":
-                raise ParseError("polynomials use x-variables only", node.line, node.col)
-            seen["max_x"] = max(seen["max_x"], idx)
-        return
-    for item in node.items:
-        _scan_vars_poly(item, seen)
 
 
 # -- canonical printing -----------------------------------------------------------
@@ -545,11 +488,11 @@ def _fmt_poly(p: MultiPoly, s: int) -> str:
 def _fmt_node(node, s: int) -> str:
     if isinstance(node, Cmp):
         return f"({node.op} {_fmt_poly(node.lhs, s)} {_fmt_poly(node.rhs, s)})"
-    if isinstance(node, (QAnd, FAnd)):
+    if isinstance(node, QAnd):
         return "(and " + " ".join(_fmt_node(p, s) for p in node.parts) + ")"
-    if isinstance(node, (QOr, FOr)):
+    if isinstance(node, QOr):
         return "(or " + " ".join(_fmt_node(p, s) for p in node.parts) + ")"
-    if isinstance(node, (QNot, FNot)):
+    if isinstance(node, QNot):
         return f"(not {_fmt_node(node.part, s)})"
     if isinstance(node, Block):
         return f"(exists-gamma {node.n} {_fmt_node(node.body, s)})"
@@ -579,52 +522,28 @@ def eval_qf(qf: QFFormula, assignment: Sequence) -> bool:
     return qf.evaluate(vals)
 
 
-def _block_slots_used(block: Block, s: int) -> list[bool]:
-    used = block.body.used_vars()
-    return [
-        (s + 2 * j in used) or (s + 2 * j + 1 in used) for j in range(block.n)
-    ]
-
-
 def eval_block(
     gamma: GammaSpec,
     block: Block,
-    x_assign: Sequence,
+    xs: list[Fraction],
     bound: int = DEFAULT_COEFF_BOUND,
-    skipped: list | None = None,
     max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> TriBool:
-    """Search the coefficient box for a witness tuple.
+    """Search the coefficient box for a witness tuple; xs are the free
+    values as eval_formula checked and converted them, so s = len(xs).
 
     Candidates run in the box's canonical shell order (slot 1 varying
     slowest), so a one-element block reports the witness of least
     max-norm, and that witness stays put as the bound grows.  Exhaustion
     is Unknown, never False: the group is infinite and the search is not.
     """
-    body_arity = _qf_arity(block.body)
-    s = body_arity - 2 * block.n
-    if s < 0:
-        raise InputError("block body arity smaller than its bound variables")
-    if len(x_assign) != s:
-        raise InputError(f"expected {s} free values, got {len(x_assign)}")
-    xs = [_as_fraction(v) for v in x_assign]
-    slot_used = _block_slots_used(block, s)
+    slot_used = slots_used(block.body.used_vars(), block.n, len(xs))
     for _, points in gamma.box(block.n, bound, max_size):
         if any(u and is_identity(p) for u, p in zip(slot_used, points)):
-            if skipped is not None:
-                skipped.append(points)
             continue
         if block.body.evaluate(xs + affine_values(points)):
             return _tb_true((points,))
     return _tb_unknown(bound)
-
-
-def _qf_arity(qf: QFFormula) -> int:
-    if isinstance(qf, Cmp):
-        return qf.lhs.arity
-    if isinstance(qf, QNot):
-        return _qf_arity(qf.part)
-    return _qf_arity(qf.parts[0])
 
 
 def eval_formula(
@@ -646,36 +565,32 @@ def eval_formula(
 
 
 def _eval_node(gamma, node, xs, bound: int, max_size: int) -> TriBool:
-    if isinstance(node, (Cmp, QAnd, QOr, QNot)):
+    """The Kleene evaluator: Cmp is the two-valued atom, Block the bounded
+    search, and every connective combines three values."""
+    if isinstance(node, Cmp):
         return _tb_true() if node.evaluate(xs) else TB_FALSE
     if isinstance(node, Block):
-        return eval_block(gamma, node, xs, bound, max_size=max_size)
-    if isinstance(node, FNot):
+        return eval_block(gamma, node, xs, bound, max_size)
+    if isinstance(node, QNot):
         inner = _eval_node(gamma, node.part, xs, bound, max_size)
         if inner.is_true():
             return TB_FALSE
         if inner.is_false():
             return _tb_true()
         return _tb_unknown(bound)
-    if isinstance(node, FAnd):
+    if isinstance(node, (QAnd, QOr)):
+        # dual loops: the first false part decides an and, the first true
+        # part (with its witnesses) an or
+        decisive = "false" if isinstance(node, QAnd) else "true"
         witnesses = []
         saw_unknown = False
         for part in node.parts:
             v = _eval_node(gamma, part, xs, bound, max_size)
-            if v.is_false():
-                return TB_FALSE
-            if v.is_true():
-                witnesses.extend(v.witnesses)
-            else:
-                saw_unknown = True
-        return _tb_unknown(bound) if saw_unknown else _tb_true(witnesses)
-    if isinstance(node, FOr):
-        saw_unknown = False
-        for part in node.parts:
-            v = _eval_node(gamma, part, xs, bound, max_size)
-            if v.is_true():
+            if v.kind == decisive:
                 return v
-            if not v.is_false():
-                saw_unknown = True
-        return _tb_unknown(bound) if saw_unknown else TB_FALSE
+            saw_unknown = saw_unknown or v.kind == "unknown"
+            witnesses.extend(v.witnesses)
+        if saw_unknown:
+            return _tb_unknown(bound)
+        return _tb_true(witnesses) if decisive == "false" else TB_FALSE
     raise InputError(f"not a formula node: {node!r}")

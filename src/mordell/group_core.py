@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import InputError
 from .exact_num import _as_fraction, coprime_fraction, format_rational, parse_rational
@@ -296,6 +296,13 @@ def affine_values(points: Sequence[GroupPoint]) -> list[Fraction]:
         else:
             vals.extend((p.x, p.y))
     return vals
+
+
+def slots_used(used: Collection[int], n: int, offset: int = 0) -> list[bool]:
+    """Whether each of n slots has a coordinate among the used variable
+    positions; slot j owns positions offset + 2j (x) and offset + 2j + 1
+    (y), as laid out by affine_values after offset free values."""
+    return [offset + 2 * j in used or offset + 2 * j + 1 in used for j in range(n)]
 
 
 # -- exact square roots and enumeration --------------------------------------

@@ -4,7 +4,8 @@ claimed coset decompositions of the solution set.
 Identity convention, used everywhere in this module: the identity element
 has no affine coordinates, so a tuple containing it is evaluated against a
 polynomial only when the polynomial does not mention that slot's variables
-(slot j owns variables 2j-1 and 2j, 1-based).  Otherwise the tuple is
+(slot j owns variables 2j-1 and 2j, 1-based; group_core.slots_used states
+the rule for this module and formula_eval's blocks).  Otherwise the tuple is
 skipped outright -- in enumeration and in both verification directions --
 and reported through the optional `skipped` side channel.  A skipped tuple
 is neither a solution nor a non-solution.
@@ -26,8 +27,10 @@ from .group_core import (
     IDENTITY,
     _add_raw,
     affine_values,
+    format_point,
     is_identity,
     scalar_mul,
+    slots_used,
 )
 from .intlinalg import ZLattice, kernel_basis
 
@@ -81,8 +84,6 @@ class Counterexample:
     direction: str  # MISSING_FROM_UNION or NOT_A_SOLUTION
 
     def __str__(self):
-        from .group_core import format_point
-
         inner = ", ".join(format_point(p) for p in self.points)
         return f"counterexample: {self.direction} ({inner})"
 
@@ -130,12 +131,6 @@ def in_coset(
     return True
 
 
-def _slot_usage(p: MultiPoly, n: int) -> list[bool]:
-    """Whether p mentions slot j's variables (positions 2j, 2j+1 zero-based)."""
-    used = p.used_variables()
-    return [(2 * j in used) or (2 * j + 1 in used) for j in range(n)]
-
-
 def _classify(
     p: MultiPoly,
     slot_used: Sequence[bool],
@@ -164,7 +159,7 @@ def solutions_bounded(
         raise InputError("arity must be >= 1")
     if p.arity != 2 * n:
         raise InputError(f"polynomial arity {p.arity}, expected {2 * n}")
-    slot_used = _slot_usage(p, n)
+    slot_used = slots_used(p.used_variables(), n)
     out = []
     for _, points in gamma.box(n, bound, max_size):
         verdict = _classify(p, slot_used, points)
@@ -201,7 +196,7 @@ def verify_decomposition(
             raise InputError(f"character {k} has arity {len(k)}, expected {n}")
         for c in base:
             gamma.check_coords(c)
-    slot_used = _slot_usage(p, n)
+    slot_used = slots_used(p.used_variables(), n)
     box = gamma.box(n, bound, max_size)
     classified = ((c, pts, _classify(p, slot_used, pts)) for c, pts in box)
     return _check_union(gamma, d, classified, bound, skipped)
@@ -278,7 +273,7 @@ def suggest_decomposition(
     """
     if p.arity != 2 * n:
         raise InputError(f"polynomial arity {p.arity}, expected {2 * n}")
-    slot_used = _slot_usage(p, n)
+    slot_used = slots_used(p.used_variables(), n)
     r = gamma.rank
     box = gamma.box(n, bound, max_size)
     window = (4 * bound + 1) ** (r * n)

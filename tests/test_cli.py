@@ -470,6 +470,24 @@ def test_digit_limit_has_its_own_message(args, digits, spec_dir, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args,arity",
+    [
+        (["ml", "solve", "(- x1 x3)", "--slots", "1000000000", "--bound", "0"], 2000000000),
+        (["eval", "(= x10000000 0)", "--x", "1"], 10000000),
+        (["eval", "(exists-gamma 3000000 (= x1 y1))", "--x", "1", "--bound", "0"], 6000001),
+    ],
+)
+def test_arity_ceiling_has_its_own_message(args, arity, spec_dir, capsys):
+    # a polynomial arity is not a residue enumeration: the message names it
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, ["--no-cache"]))
+    assert (rc, out) == (3, "")
+    assert err == (
+        f"error: polynomial arity {arity}: an exponent vector of size {arity}"
+        " exceeds ceiling 1000000\n"
+    )
+
+
 def test_spec_load_never_computes_the_torsion_subgroup(spec_dir, spec_file, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("spec load computed the torsion subgroup")

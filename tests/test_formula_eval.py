@@ -6,7 +6,6 @@ from mordell.errors import InputError
 from mordell.formula_eval import (
     Block,
     Cmp,
-    FAnd,
     ParseError,
     QAnd,
     TriBool,
@@ -33,10 +32,14 @@ def test_parse_shapes():
     assert f.root.n == 1
 
     f = parse("(and (= x1 0) (< x1 1))")
-    assert isinstance(f.root, QAnd)  # block-free connectives stay quantifier-free
+    assert isinstance(f.root, QAnd)
+    assert all(isinstance(p, Cmp) for p in f.root.parts)
 
+    # blocks and comparisons share the same connectives
     f = parse("(and (exists-gamma 1 (= y1 x1)) (= x1 x1))")
-    assert isinstance(f.root, FAnd)
+    assert isinstance(f.root, QAnd)
+    assert isinstance(f.root.parts[0], Block)
+    assert isinstance(f.root.parts[1], Cmp)
 
 
 def test_parse_declared_arity():
@@ -47,8 +50,16 @@ def test_parse_declared_arity():
 
 
 def test_parse_qf_rejects_blocks():
-    with pytest.raises(InputError):
-        parse_qf("(exists-gamma 1 (= y1 0))")
+    # at the top and under every connective
+    for text in (
+        "(exists-gamma 1 (= y1 0))",
+        "(and (= x1 0) (exists-gamma 1 (= y1 0)))",
+        "(or (exists-gamma 1 (= y1 x1)) (< x1 0))",
+        "(not (exists-gamma 2 (= y3 0)))",
+        "(and (= x1 0) (or (< x1 1) (not (exists-gamma 1 (= y1 0)))))",
+    ):
+        with pytest.raises(InputError, match="without blocks"):
+            parse_qf(text)
 
 
 @pytest.mark.parametrize(
@@ -91,6 +102,20 @@ def test_parse_error_position():
 def test_parse_poly_rejects_comparisons():
     with pytest.raises(InputError):
         parse_poly("(= x1 0)")
+
+
+@pytest.mark.parametrize(
+    "text,arity,fragment",
+    [
+        ("(- y1 x1)", None, "y-variables only live inside exists-gamma"),
+        ("(exists-gamma 1 y1)", None, "expected a polynomial, got 'exists-gamma'"),
+        ("(* x0 x1)", None, "variable indices start at 1"),
+        ("(- x1 x3)", 2, "declared free arity 2 but x3 is used"),
+    ],
+)
+def test_parse_poly_shares_the_formula_scan(text, arity, fragment):
+    with pytest.raises(InputError, match=fragment):
+        parse_poly(text, arity)
 
 
 # -- printing -----------------------------------------------------------------------
