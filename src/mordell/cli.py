@@ -12,9 +12,9 @@ Flags go after the final subcommand: mordell point add P Q --spec f.json.
 
 Exit codes: 0 success, 2 invalid input (bad spec file, off-variety point,
 malformed formula, a rational literal over the int digit limit), 3 resource
-ceiling (a quotient or residue enumeration or a coefficient box search would
-exceed the configured ceiling, or a number in the answer is too long to
-print).
+ceiling (a quotient or residue enumeration, a coefficient box search or a
+decompose shell would exceed the configured ceiling, or a number in the
+answer is too long to print).
 
 Each command computes its result once, as one record.  --machine prints
 that record as a line of JSON with fixed field names; field order is part of
@@ -87,7 +87,7 @@ CACHE_FORMAT_VERSION = 1
 _SPEC_KEYS = {"kind", "a", "b", "generators", "rank", "label"}
 
 
-def load_group_spec(path: str) -> GammaSpec:
+def load_group_spec(path: str, ceiling: int = DEFAULT_QUOTIENT_CEILING) -> GammaSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -130,7 +130,7 @@ def load_group_spec(path: str) -> GammaSpec:
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise InputError("spec 'label' must be a string")
-    return GammaSpec(backend, gens, claimed_rank=rank, label=label)
+    return GammaSpec(backend, gens, claimed_rank=rank, label=label, ceiling=ceiling)
 
 
 def _spec_rational(value, what: str) -> Fraction:
@@ -341,7 +341,7 @@ def cmd_point(args, gamma: GammaSpec) -> dict:
     if args.point_op == "mul":
         r = scalar_mul(backend, args.k, parse_point(backend, args.p))
         return {"command": "point-mul", "k": args.k, "result": format_point(r)}
-    c = gamma.decompose(parse_point(backend, args.p), args.bound, args.ceiling)
+    c = gamma.decompose(parse_point(backend, args.p), args.bound)
     record = {"command": "point-decompose", "bound": args.bound}
     if isinstance(c, Undecided):
         record["result"] = "undecided"
@@ -353,11 +353,11 @@ def cmd_point(args, gamma: GammaSpec) -> dict:
 
 def cmd_coset(args, gamma: GammaSpec) -> dict:
     if args.coset_op == "combine":
-        operands = [_operand_union(gamma, text, args.ceiling) for text in args.operand]
+        operands = [_operand_union(gamma, text) for text in args.operand]
         if args.op == "complement":
             if len(operands) != 1:
                 raise InputError("complement takes exactly one operand")
-            u = coset_engine.complement(operands[0], args.ceiling)
+            u = coset_engine.complement(operands[0])
         else:
             if len(operands) != 2:
                 raise InputError(f"{args.op} takes exactly two operands")
@@ -366,10 +366,10 @@ def cmd_coset(args, gamma: GammaSpec) -> dict:
                 "intersect": coset_engine.intersect,
                 "diff": coset_engine.difference,
             }[args.op]
-            u = fn(operands[0], operands[1], args.ceiling)
+            u = fn(operands[0], operands[1])
         return {"command": "coset-combine", "op": args.op, **_union_json(u)}
     k = _parse_int_list(args.char, "--char")
-    u = coset_engine.dke(gamma, k, args.exponent, args.ceiling)
+    u = coset_engine.dke(gamma, k, args.exponent)
     if args.coset_op == "dke":
         record = {"command": "coset-dke", "char": list(k), "exponent": args.exponent}
         return {**record, **_union_json(u)}
@@ -382,7 +382,7 @@ def cmd_coset(args, gamma: GammaSpec) -> dict:
     }
 
 
-def _operand_union(gamma: GammaSpec, text: str, ceiling: int):
+def _operand_union(gamma: GammaSpec, text: str):
     """Operand syntax K:E, the kernel union of character K at exponent E."""
     head, sep, tail = text.partition(":")
     if not sep:
@@ -392,39 +392,33 @@ def _operand_union(gamma: GammaSpec, text: str, ceiling: int):
         e = int(tail)
     except ValueError:
         raise InputError(f"coset operand exponent must be an integer, got {tail!r}")
-    return coset_engine.dke(gamma, k, e, ceiling)
+    return coset_engine.dke(gamma, k, e)
 
 
 def cmd_ml(args, gamma: GammaSpec) -> dict:
     n = args.slots
     if n < 1:
         raise InputError("--slots must be >= 1")
-    if 2 * n > args.ceiling:  # every exponent vector and box tuple has length 2n
-        raise ArityCeilingError(2 * n, args.ceiling)
+    if 2 * n > gamma.ceiling:  # every exponent vector and box tuple has length 2n
+        raise ArityCeilingError(2 * n, gamma.ceiling)
     p = parse_poly(args.poly, 2 * n)
     poly = format_poly(p)
     record = {"command": f"ml-{args.ml_op}", "poly": poly, "slots": n, "bound": args.bound}
     if args.ml_op == "solve":
         skipped: list = []
-        sols = ml_checker.solutions_bounded(
-            gamma, p, n, args.bound, skipped, max_size=args.ceiling
-        )
+        sols = ml_checker.solutions_bounded(gamma, p, n, args.bound, skipped)
         record["solutions"] = [_printed(t) for t in sols]
         record["skipped"] = len(skipped)
     elif args.ml_op == "verify":
         d = _read_decomposition(args.decomposition)
-        verdict = ml_checker.verify_decomposition(
-            gamma, p, n, d, args.bound, max_size=args.ceiling
-        )
+        verdict = ml_checker.verify_decomposition(gamma, p, n, d, args.bound)
         if isinstance(verdict, Verified):
             record["verdict"] = "verified"
         else:
             tup = _printed(verdict.points)
             record.update(verdict="counterexample", direction=verdict.direction, tuple=tup)
     else:
-        out = ml_checker.suggest_decomposition(
-            gamma, p, n, args.bound, max_size=args.ceiling
-        )
+        out = ml_checker.suggest_decomposition(gamma, p, n, args.bound)
         if isinstance(out, Inconclusive):
             unexplained = [_printed(t) for t in out.unexplained]
             record.update(verdict="inconclusive", reason=out.reason, unexplained=unexplained)
@@ -449,12 +443,12 @@ def _read_decomposition(text: str) -> MLDecomposition:
 
 def cmd_eval(args, gamma: GammaSpec) -> dict:
     # every polynomial is built at the largest arity, so it counts first
-    f = parse(args.formula, max_arity=args.ceiling)
+    f = parse(args.formula, max_arity=gamma.ceiling)
     if args.x is None or args.x.strip() == "":
         xs: list[Fraction] = []
     else:
         xs = [parse_rational(s.strip()) for s in args.x.split(",")]
-    res = eval_formula(gamma, f, xs, args.bound, max_size=args.ceiling)
+    res = eval_formula(gamma, f, xs, args.bound)
     record = {
         "command": "eval",
         "formula": format_formula(f),
@@ -475,7 +469,7 @@ def cmd_density(args, gamma: GammaSpec) -> dict:
         if args.exponent is None:
             raise InputError("--char needs --exponent")
         k = _parse_int_list(args.char, "--char")
-        u = coset_engine.dke(gamma, k, args.exponent, args.ceiling)
+        u = coset_engine.dke(gamma, k, args.exponent)
         hist = coset_engine.density_sample(gamma, u, lo, hi, args.height, args.bins)
     elif args.exponent is not None:
         raise InputError("--exponent needs --char")
@@ -675,10 +669,12 @@ def _common_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_QUOTIENT_CEILING,
         help=(
-            "largest residue enumeration or coefficient box search "
-            "(ml solve/verify/suggest, eval, point decompose) allowed before "
-            "giving up (exit 3); ml also exits 3 when 2 * --slots exceeds it, "
-            "and eval when its largest x index + 2 * exists-gamma count does"
+            "largest quotient, residue enumeration, coefficient box or "
+            "decompose shell allowed before giving up (exit 3), for every "
+            "search over the subgroup: coset dke/combine/member, density "
+            "--char, point decompose, ml solve/verify/suggest, eval and "
+            "axioms; ml also exits 3 when 2 * --slots exceeds it, and eval "
+            "when its largest x index + 2 * exists-gamma count does"
         ),
     )
     common.add_argument(
@@ -814,7 +810,7 @@ def main(argv=None) -> int:
     # cmd_* function as it is bound at that moment
     args = _build_parser().parse_args(argv)
     try:
-        record = args.run(args, load_group_spec(args.spec))
+        record = args.run(args, load_group_spec(args.spec, args.ceiling))
         if args.machine:
             text = json.dumps(record)
         else:

@@ -9,23 +9,27 @@ given by explicit residue vectors.  Kernels of infinite index have no exact
 finite-modulus picture, so from_kernel_cosets marks its output as coarsened
 whenever the reduction can lose information.
 
-All quotient enumeration is bounded by a configurable residue ceiling
-(default 10**6) and fails loudly past it.
+Every quotient and residue enumeration here, and every decomposition behind
+member and from_kernel_cosets, is bounded by the group's one ceiling
+(GammaSpec.ceiling, default 10**6) and fails loudly past it.  The CLI sets
+it with --ceiling, which so bounds coset dke, combine and member and
+density --char, as it bounds point decompose, ml solve/verify/suggest, eval
+and axioms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InputError, QuotientCeilingError
+from .errors import InputError
 from .fg_group import (
     Coords,
     DEFAULT_COEFF_BOUND,
-    DEFAULT_QUOTIENT_CEILING,
     GammaSpec,
     Histogram,
     Undecided,
@@ -178,20 +182,10 @@ def _same_setting(a: CosetUnion, b: CosetUnion) -> None:
         raise InputError(f"arity mismatch: {a.n} vs {b.n}")
 
 
-def _check_ceiling(count: int, max_size: int) -> None:
-    if count > max_size:
-        raise QuotientCeilingError(count, max_size)
-
-
-def full_union(
-    gamma: GammaSpec,
-    n: int,
-    modulus: int,
-    max_size: int = DEFAULT_QUOTIENT_CEILING,
-) -> CosetUnion:
+def full_union(gamma: GammaSpec, n: int, modulus: int) -> CosetUnion:
     """All of Gamma^n, written at the given modulus."""
-    desc = gamma.gamma_mod(modulus, max_size)
-    _check_ceiling(desc.size**n, max_size)
+    desc = gamma.gamma_mod(modulus)
+    gamma.check_ceiling(desc.size**n)
     return _make(
         gamma, n, modulus, itertools.product(desc.residues(), repeat=n)
     )
@@ -201,12 +195,7 @@ def empty_union(gamma: GammaSpec, n: int, modulus: int) -> CosetUnion:
     return _make(gamma, n, modulus, ())
 
 
-def dke(
-    gamma: GammaSpec,
-    k: Sequence[int],
-    e: int,
-    max_size: int = DEFAULT_QUOTIENT_CEILING,
-) -> CosetUnion:
+def dke(gamma: GammaSpec, k: Sequence[int], e: int) -> CosetUnion:
     """The set of tuples whose character image is divisible by e, i.e. the
     kernel of the induced map (Gamma/eGamma)^n -> Gamma/eGamma, found by
     enumerating the finite quotient."""
@@ -214,8 +203,8 @@ def dke(
     if e < 1:
         raise InputError(f"e must be >= 1, got {e}")
     n = len(k)
-    desc = gamma.gamma_mod(e, max_size)
-    _check_ceiling(desc.size**n, max_size)
+    desc = gamma.gamma_mod(e)
+    gamma.check_ceiling(desc.size**n)
     shape = desc.shape
     hits = []
     for t in itertools.product(desc.residues(), repeat=n):
@@ -227,18 +216,18 @@ def dke(
     return _make(gamma, n, e, hits)
 
 
-def rescale(
-    u: CosetUnion, modulus: int, max_size: int = DEFAULT_QUOTIENT_CEILING
-) -> CosetUnion:
+def rescale(u: CosetUnion, modulus: int) -> CosetUnion:
     """The same point set re-expressed mod (modulus*Gamma)^n."""
     if modulus % u.modulus:
         raise InputError(
             f"cannot rescale modulus {u.modulus} to non-multiple {modulus}"
         )
-    old = u.gamma.gamma_mod(u.modulus, max_size)
-    new = u.gamma.gamma_mod(modulus, max_size)
+    old = u.gamma.gamma_mod(u.modulus)
+    new = u.gamma.gamma_mod(modulus)
     per_point = new.size // old.size
-    _check_ceiling(len(u.residues) * per_point**u.n, max_size)
+    u.gamma.check_ceiling(len(u.residues) * per_point**u.n)
+    if modulus == u.modulus:
+        return u
     # preimage of v under Z/new -> Z/old is {v + old*t}, coordinatewise
     expansions = [
         range(ns // os) for os, ns in zip(old.shape, new.shape)
@@ -260,63 +249,29 @@ def rescale(
     return _make(u.gamma, u.n, modulus, out, u.coarsened)
 
 
-def _common(a: CosetUnion, b: CosetUnion, max_size: int):
+def _combine(a: CosetUnion, b: CosetUnion, op) -> CosetUnion:
+    """op of the two residue sets, both rescaled to the lcm of the moduli."""
     _same_setting(a, b)
     l = math.lcm(a.modulus, b.modulus)
-    return rescale(a, l, max_size), rescale(b, l, max_size)
+    residues = op(rescale(a, l).residue_set(), rescale(b, l).residue_set())
+    return _make(a.gamma, a.n, l, residues, a.coarsened or b.coarsened)
 
 
-def union(
-    a: CosetUnion, b: CosetUnion, max_size: int = DEFAULT_QUOTIENT_CEILING
-) -> CosetUnion:
-    ra, rb = _common(a, b, max_size)
-    return _make(
-        a.gamma,
-        a.n,
-        ra.modulus,
-        ra.residue_set() | rb.residue_set(),
-        a.coarsened or b.coarsened,
-    )
+def union(a: CosetUnion, b: CosetUnion) -> CosetUnion:
+    return _combine(a, b, operator.or_)
 
 
-def intersect(
-    a: CosetUnion, b: CosetUnion, max_size: int = DEFAULT_QUOTIENT_CEILING
-) -> CosetUnion:
-    ra, rb = _common(a, b, max_size)
-    return _make(
-        a.gamma,
-        a.n,
-        ra.modulus,
-        ra.residue_set() & rb.residue_set(),
-        a.coarsened or b.coarsened,
-    )
+def intersect(a: CosetUnion, b: CosetUnion) -> CosetUnion:
+    return _combine(a, b, operator.and_)
 
 
-def difference(
-    a: CosetUnion, b: CosetUnion, max_size: int = DEFAULT_QUOTIENT_CEILING
-) -> CosetUnion:
-    ra, rb = _common(a, b, max_size)
-    return _make(
-        a.gamma,
-        a.n,
-        ra.modulus,
-        ra.residue_set() - rb.residue_set(),
-        a.coarsened or b.coarsened,
-    )
+def difference(a: CosetUnion, b: CosetUnion) -> CosetUnion:
+    return _combine(a, b, operator.sub)
 
 
-def complement(
-    u: CosetUnion, max_size: int = DEFAULT_QUOTIENT_CEILING
-) -> CosetUnion:
+def complement(u: CosetUnion) -> CosetUnion:
     """Complement relative to Gamma^n, at the union's own modulus."""
-    everything = full_union(u.gamma, u.n, u.modulus, max_size)
-    return _make(
-        u.gamma,
-        u.n,
-        u.modulus,
-        everything.residue_set() - u.residue_set(),
-        u.coarsened,
-    )
+    return difference(full_union(u.gamma, u.n, u.modulus), u)
 
 
 def member(
@@ -338,11 +293,9 @@ def member(
     return tuple(vecs) in u.residue_set()
 
 
-def _kernel_image_mod(
-    gamma: GammaSpec, kd: KernelDesc, modulus: int, max_size: int
-) -> list[Residue]:
+def _kernel_image_mod(gamma: GammaSpec, kd: KernelDesc, modulus: int) -> list[Residue]:
     """Image of the kernel subgroup in (Gamma/modulus)^n, as residues."""
-    desc = gamma.gamma_mod(modulus, max_size)
+    desc = gamma.gamma_mod(modulus)
     r = gamma.rank
     n = kd.n
     # free part: subgroup of (Z/modulus)^(rn) spanned by the basis images
@@ -356,7 +309,7 @@ def _kernel_image_mod(
             for g in gens:
                 s = tuple((a + b) % modulus for a, b in zip(w, g))
                 if s not in free_img:
-                    _check_ceiling(len(free_img) + 1, max_size)
+                    gamma.check_ceiling(len(free_img) + 1)
                     free_img.add(s)
                     nxt.append(s)
         frontier = nxt
@@ -368,7 +321,7 @@ def _kernel_image_mod(
             sorted({tuple(t % tors_shape[j] for t in sol) for sol in sols})
         )
     total = len(free_img) * math.prod(len(s) for s in tors_imgs)
-    _check_ceiling(total, max_size)
+    gamma.check_ceiling(total)
     out = []
     for v in sorted(free_img):
         for tor_choice in itertools.product(*tors_imgs):
@@ -394,7 +347,6 @@ def from_kernel_cosets(
     pairs: Sequence[tuple[Sequence[GroupPoint | Coords], Sequence[int]]],
     modulus: int,
     bound: int = DEFAULT_COEFF_BOUND,
-    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> CosetUnion:
     """Reduce a union of kernel cosets base_i + ker(k_i) mod (modulus*Gamma)^n.
 
@@ -409,7 +361,7 @@ def from_kernel_cosets(
     if not pairs:
         raise InputError("need at least one (base, character) pair")
     n = len(_check_character(pairs[0][1]))
-    desc = gamma.gamma_mod(modulus, max_size)
+    desc = gamma.gamma_mod(modulus)
     shape = desc.shape
     residues: set[Residue] = set()
     coarsened = False
@@ -429,9 +381,9 @@ def from_kernel_cosets(
             base_res.append(desc.reduce(c))
         base_res = tuple(base_res)
         kd = kernel_lattice(gamma, k)
-        for img in _kernel_image_mod(gamma, kd, modulus, max_size):
+        for img in _kernel_image_mod(gamma, kd, modulus):
             residues.add(_residue_add(base_res, img, shape))
-            _check_ceiling(len(residues), max_size)
+            gamma.check_ceiling(len(residues))
         # reduction is exact iff (modulus*Gamma)^n sits inside the kernel
         free_exact = gamma.rank == 0 or all(ki == 0 for ki in k)
         tors_exact = all(

@@ -191,6 +191,10 @@ class GammaSpec:
     finite group, and audits the free part for small integer dependencies.
     Instances are immutable after construction except for internal
     realize caches.
+
+    Gamma is infinite, so every search over it is bounded: `ceiling` caps
+    each coefficient box, decompose shell and quotient enumerated over it,
+    here and in the modules built on it (check_ceiling).
     """
 
     def __init__(
@@ -199,12 +203,13 @@ class GammaSpec:
         generators: Sequence[GroupPoint],
         claimed_rank: int | None = None,
         label: str | None = None,
-        audit_bound: int = DEFAULT_AUDIT_BOUND,
+        ceiling: int = DEFAULT_QUOTIENT_CEILING,
     ):
         validate_backend(backend)
         self.backend = backend
         self.label = label
-        self.audit_bound = audit_bound
+        self.audit_bound = DEFAULT_AUDIT_BOUND
+        self.ceiling = ceiling
         free: list[GroupPoint] = []
         torsion_gens: list[GroupPoint] = []
         for g in generators:
@@ -240,7 +245,7 @@ class GammaSpec:
 
     def _audit_free_generators(self) -> None:
         r = self.rank
-        if r == 0 or self.audit_bound < 1:
+        if r == 0:
             return
         # Screen mod a good prime: a torsion sum of the k_i*g_i reduces to a
         # point that TORSION_EXPONENT kills, so a vector whose reduced sum of
@@ -278,6 +283,11 @@ class GammaSpec:
     @property
     def torsion_factors(self) -> tuple[int, ...]:
         return self.torsion.invariant_factors
+
+    def check_ceiling(self, size: int) -> None:
+        """Refuse an enumeration of more than `ceiling` elements."""
+        if size > self.ceiling:
+            raise QuotientCeilingError(size, self.ceiling)
 
     # -- realize ----------------------------------------------------------------
 
@@ -352,17 +362,15 @@ class GammaSpec:
             yield from self.shell_coords(m)
 
     def box(
-        self, n: int, bound: int, max_size: int = DEFAULT_QUOTIENT_CEILING
+        self, n: int, bound: int
     ) -> Iterator[tuple[tuple[Coords, ...], tuple[GroupPoint, ...]]]:
         """Every n-tuple of the coefficient box as (coords, points): each
         slot in canonical order, slot 1 varying slowest.  The bound and the
-        box size (2*bound+1)^(rank*n) * |torsion|^n are checked against
-        max_size on the call; points are realized once iteration starts."""
+        box size (2*bound+1)^(rank*n) * |torsion|^n are checked against the
+        ceiling on the call; points are realized once iteration starts."""
         if bound < 0:
             raise InputError("coefficient bound must be >= 0")
-        size = ((2 * bound + 1) ** self.rank * math.prod(self.torsion_factors)) ** n
-        if size > max_size:
-            raise QuotientCeilingError(size, max_size)
+        self.check_ceiling(((2 * bound + 1) ** self.rank * math.prod(self.torsion_factors)) ** n)
 
         def tuples():
             slot = [(c, self.realize(c)) for c in self.iter_coords(bound)]
@@ -373,12 +381,7 @@ class GammaSpec:
 
     # -- decompose and friends ----------------------------------------------------
 
-    def decompose(
-        self,
-        p: GroupPoint,
-        bound: int = DEFAULT_COEFF_BOUND,
-        max_size: int = DEFAULT_QUOTIENT_CEILING,
-    ) -> Coords | Undecided:
+    def decompose(self, p: GroupPoint, bound: int = DEFAULT_COEFF_BOUND) -> Coords | Undecided:
         """Find coords realizing p with all |free coefficients| <= bound, by
         shell search; Undecided(bound) when the box is exhausted.
 
@@ -386,7 +389,7 @@ class GammaSpec:
         shell fully indexed) and the search stops at the first shell that
         holds p.  Shells ascend and the first coords seen are kept, so the
         answer is the minimal-norm representative.  Indexing a shell m whose
-        box (2m+1)^rank * |torsion| exceeds max_size raises
+        box (2m+1)^rank * |torsion| exceeds the ceiling raises
         QuotientCeilingError; a hit in a lower shell is still answered."""
         if bound < 0:
             raise InputError("coefficient bound must be >= 0")
@@ -396,9 +399,7 @@ class GammaSpec:
         last = bound if self.rank else 0
         while found is None and self._index_bound < last:
             m = self._index_bound + 1
-            size = (2 * m + 1) ** self.rank * math.prod(self.torsion_factors)
-            if size > max_size:
-                raise QuotientCeilingError(size, max_size)
+            self.check_ceiling((2 * m + 1) ** self.rank * math.prod(self.torsion_factors))
             for c in self.shell_coords(m):
                 self._index.setdefault(self.realize(c), c)
             self._index_bound = m
@@ -431,16 +432,13 @@ class GammaSpec:
         q = Coords(tuple(ci // n for ci in c.free), tuple(tors))
         return q
 
-    def gamma_mod(
-        self, l: int, max_size: int = DEFAULT_QUOTIENT_CEILING
-    ) -> QuotientDesc:
+    def gamma_mod(self, l: int) -> QuotientDesc:
         """Structure of Gamma/l*Gamma."""
         if l < 1:
             raise InputError(f"modulus must be >= 1, got {l}")
         shape = (l,) * self.rank + tuple(math.gcd(l, d) for d in self.torsion_factors)
         size = math.prod(shape) if shape else 1
-        if size > max_size:
-            raise QuotientCeilingError(size, max_size)
+        self.check_ceiling(size)
         return QuotientDesc(
             modulus=l,
             rank=self.rank,
@@ -450,13 +448,11 @@ class GammaSpec:
             size=size,
         )
 
-    def transversal(
-        self, l: int, max_size: int = DEFAULT_QUOTIENT_CEILING
-    ) -> list[tuple[tuple[int, ...], GroupPoint]]:
+    def transversal(self, l: int) -> list[tuple[tuple[int, ...], GroupPoint]]:
         """One realized representative per class of Gamma/l*Gamma, in
         lexicographic residue order; representatives are canonical lifts
         and genuinely lie in Gamma."""
-        desc = self.gamma_mod(l, max_size)
+        desc = self.gamma_mod(l)
         return [(res, self.realize(desc.lift(res))) for res in desc.residues()]
 
     def linear_dependence(

@@ -36,7 +36,7 @@ from .exact_num import (
     parse_rational,
     poly_eval,
 )
-from .fg_group import DEFAULT_COEFF_BOUND, DEFAULT_QUOTIENT_CEILING, GammaSpec
+from .fg_group import DEFAULT_COEFF_BOUND, GammaSpec
 from .group_core import GroupPoint, affine_values, is_identity, slots_used
 
 __all__ = [
@@ -527,7 +527,6 @@ def eval_block(
     block: Block,
     xs: list[Fraction],
     bound: int = DEFAULT_COEFF_BOUND,
-    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> TriBool:
     """Search the coefficient box for a witness tuple; xs are the free
     values as eval_formula checked and converted them, so s = len(xs).
@@ -538,7 +537,7 @@ def eval_block(
     is Unknown, never False: the group is infinite and the search is not.
     """
     slot_used = slots_used(block.body.used_vars(), block.n, len(xs))
-    for _, points in gamma.box(block.n, bound, max_size):
+    for _, points in gamma.box(block.n, bound):
         if any(u and is_identity(p) for u, p in zip(slot_used, points)):
             continue
         if block.body.evaluate(xs + affine_values(points)):
@@ -551,28 +550,27 @@ def eval_formula(
     f: Formula,
     x_assign: Sequence,
     bound: int = DEFAULT_COEFF_BOUND,
-    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> TriBool:
     """Kleene strong three-valued evaluation, short-circuiting as soon as a
-    connective's value is determined.  Each block's box is held to
-    max_size."""
+    connective's value is determined.  Each block's box is held to gamma's
+    ceiling."""
     if len(x_assign) != f.free_arity:
         raise InputError(
             f"expected {f.free_arity} free values, got {len(x_assign)}"
         )
     xs = [_as_fraction(v) for v in x_assign]
-    return _eval_node(gamma, f.root, xs, bound, max_size)
+    return _eval_node(gamma, f.root, xs, bound)
 
 
-def _eval_node(gamma, node, xs, bound: int, max_size: int) -> TriBool:
+def _eval_node(gamma, node, xs, bound: int) -> TriBool:
     """The Kleene evaluator: Cmp is the two-valued atom, Block the bounded
     search, and every connective combines three values."""
     if isinstance(node, Cmp):
         return _tb_true() if node.evaluate(xs) else TB_FALSE
     if isinstance(node, Block):
-        return eval_block(gamma, node, xs, bound, max_size)
+        return eval_block(gamma, node, xs, bound)
     if isinstance(node, QNot):
-        inner = _eval_node(gamma, node.part, xs, bound, max_size)
+        inner = _eval_node(gamma, node.part, xs, bound)
         if inner.is_true():
             return TB_FALSE
         if inner.is_false():
@@ -585,7 +583,7 @@ def _eval_node(gamma, node, xs, bound: int, max_size: int) -> TriBool:
         witnesses = []
         saw_unknown = False
         for part in node.parts:
-            v = _eval_node(gamma, part, xs, bound, max_size)
+            v = _eval_node(gamma, part, xs, bound)
             if v.kind == decisive:
                 return v
             saw_unknown = saw_unknown or v.kind == "unknown"

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError, QuotientCeilingError
+from .errors import InputError
 from .exact_num import MultiPoly, poly_eval
-from .fg_group import Coords, DEFAULT_COEFF_BOUND, DEFAULT_QUOTIENT_CEILING, GammaSpec
+from .fg_group import Coords, DEFAULT_COEFF_BOUND, GammaSpec
 from .group_core import (
     GroupPoint,
     IDENTITY,
@@ -149,19 +149,18 @@ def solutions_bounded(
     n: int,
     bound: int = DEFAULT_COEFF_BOUND,
     skipped: list | None = None,
-    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> list[tuple[GroupPoint, ...]]:
     """Every tuple in the coefficient box realizing an exact zero of p, in
     the canonical enumeration order.  Tuples falling under the identity
     convention go to `skipped` (when given) instead of being judged.  A box
-    larger than max_size raises QuotientCeilingError."""
+    larger than gamma's ceiling raises QuotientCeilingError."""
     if n < 1:
         raise InputError("arity must be >= 1")
     if p.arity != 2 * n:
         raise InputError(f"polynomial arity {p.arity}, expected {2 * n}")
     slot_used = slots_used(p.used_variables(), n)
     out = []
-    for _, points in gamma.box(n, bound, max_size):
+    for _, points in gamma.box(n, bound):
         verdict = _classify(p, slot_used, points)
         if verdict == "solution":
             out.append(points)
@@ -177,7 +176,6 @@ def verify_decomposition(
     d: MLDecomposition,
     bound: int = DEFAULT_COEFF_BOUND,
     skipped: list | None = None,
-    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> Verdict:
     """Check both inclusions over the coefficient box.
 
@@ -197,7 +195,7 @@ def verify_decomposition(
         for c in base:
             gamma.check_coords(c)
     slot_used = slots_used(p.used_variables(), n)
-    box = gamma.box(n, bound, max_size)
+    box = gamma.box(n, bound)
     classified = ((c, pts, _classify(p, slot_used, pts)) for c, pts in box)
     return _check_union(gamma, d, classified, bound, skipped)
 
@@ -252,7 +250,6 @@ def suggest_decomposition(
     p: MultiPoly,
     n: int,
     bound: int = DEFAULT_COEFF_BOUND,
-    max_size: int = DEFAULT_QUOTIENT_CEILING,
 ) -> MLDecomposition | Inconclusive:
     """Guess a decomposition from the box solutions and keep it only if it
     verifies at the same bound.
@@ -268,17 +265,15 @@ def suggest_decomposition(
     deterministic, so re-evaluating it would only repeat the same verdicts.
     Existence of a true finite decomposition gives no bound, so failure
     here is Inconclusive, never a refutation.  Both the box and the doubled
-    window are checked against max_size first; a full-rank lattice still
-    visits every window point.
+    window are checked against gamma's ceiling first; a full-rank lattice
+    still visits every window point.
     """
     if p.arity != 2 * n:
         raise InputError(f"polynomial arity {p.arity}, expected {2 * n}")
     slot_used = slots_used(p.used_variables(), n)
     r = gamma.rank
-    box = gamma.box(n, bound, max_size)
-    window = (4 * bound + 1) ** (r * n)
-    if window > max_size:
-        raise QuotientCeilingError(window, max_size)
+    box = gamma.box(n, bound)
+    gamma.check_ceiling((4 * bound + 1) ** (r * n))  # the doubled window
 
     entries = []  # (coords, points, class)
     # keyed by the box's own coords tuples, so the box adds no new keys

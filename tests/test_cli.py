@@ -296,6 +296,27 @@ def test_decompose_undecided(spec_dir, capsys):
             0,
             "undecided(bound=10)\n",
         ),
+        # coset member and axioms decompose under the same ceiling
+        (
+            "m2-2p.json",
+            ["coset", "member", "--char", "1", "--exponent", "2", "(3, 5)", "--bound", "12",
+             "--ceiling", "21"],
+            3,
+            "",
+        ),
+        (
+            "m2-2p.json",
+            ["coset", "member", "--char", "1", "--exponent", "2", "(3, 5)", "--bound", "10",
+             "--ceiling", "21"],
+            0,
+            "undecided(bound=10)\n",
+        ),
+        (
+            "m2-2p.json",
+            ["axioms", "--n-max", "2", "--height", "30", "--bound", "12", "--ceiling", "21"],
+            3,
+            "",
+        ),
     ],
 )
 def test_decompose_searches_shells_under_ceiling(spec, args, code, out, spec_dir, capsys):

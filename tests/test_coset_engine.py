@@ -20,7 +20,7 @@ from mordell.coset_engine import (
     union,
 )
 from mordell.errors import InputError, QuotientCeilingError
-from mordell.fg_group import Coords, Undecided
+from mordell.fg_group import Coords, GammaSpec, Undecided
 from mordell.formula_eval import parse_qf
 from mordell.group_core import IDENTITY, negate, point, scalar_mul
 
@@ -100,6 +100,27 @@ def test_dke_ceiling(gamma_p):
     with pytest.raises(QuotientCeilingError) as exc:
         dke(gamma_p, (1, 1), 10**4)
     assert exc.value.attempted == 10**8
+
+
+@pytest.mark.parametrize(
+    "query,answer",
+    [
+        (lambda gamma, p3: gamma.divisible_in_gamma(p3, 3), Coords((1,), ())),
+        (lambda gamma, p3: gamma.linear_dependence([gamma.free_gens[0], p3]), (3, -1)),
+        (lambda gamma, p3: from_kernel_cosets(gamma, [((p3,), (1,))], 2).residues, (((1,),),)),
+        (lambda gamma, p3: member(dke(gamma, (1,), 2), [p3]), False),
+    ],
+    ids=["divisible_in_gamma", "linear_dependence", "from_kernel_cosets", "member"],
+)
+def test_gamma_ceiling_bounds_every_decomposition(curve_m2, query, answer):
+    # decomposing 3P indexes shells 0..3, and shell 3's box holds 7 points;
+    # every other enumeration here is smaller
+    p = point(curve_m2, 3, 5)
+    p3 = scalar_mul(curve_m2, 3, p)
+    with pytest.raises(QuotientCeilingError) as exc:
+        query(GammaSpec(curve_m2, [p], ceiling=6), p3)
+    assert (exc.value.attempted, exc.value.ceiling) == (7, 6)
+    assert query(GammaSpec(curve_m2, [p], ceiling=7), p3) == answer
 
 
 # -- rescale ------------------------------------------------------------------------

@@ -148,13 +148,13 @@ def test_decompose_stops_at_first_shell_holding_the_point(curve_m2):
 
 def test_decompose_ceiling_applies_to_shells_searched(curve_m2):
     g = point(curve_m2, Fraction(129, 100), Fraction(-383, 1000))
-    gamma = GammaSpec(curve_m2, [g])
-    assert gamma.decompose(g, bound=300, max_size=3) == Coords((1,), ())
+    assert GammaSpec(curve_m2, [g], ceiling=3).decompose(g, bound=300) == Coords((1,), ())
+    gamma = GammaSpec(curve_m2, [g], ceiling=21)
     p = point(curve_m2, 3, 5)  # not in <2P>
-    assert gamma.decompose(p, bound=10, max_size=21) == Undecided(10)
+    assert gamma.decompose(p, bound=10) == Undecided(10)
     # shell 11 has a box of 23 points
     with pytest.raises(QuotientCeilingError):
-        gamma.decompose(p, bound=300, max_size=21)
+        gamma.decompose(p, bound=300)
     assert gamma._index_bound == 10
 
 
