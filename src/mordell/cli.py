@@ -12,9 +12,9 @@ Flags go after the final subcommand: mordell point add P Q --spec f.json.
 
 Exit codes: 0 success, 2 invalid input (bad spec file, off-variety point,
 malformed formula, a rational literal over the int digit limit), 3 resource
-ceiling (a quotient or residue enumeration, a coefficient box search or a
-decompose shell would exceed the configured ceiling, or a number in the
-answer is too long to print).
+ceiling (a quotient or residue enumeration, a coefficient box search, a
+decompose shell or a histogram's bin count would exceed the configured
+ceiling, or a number in the answer is too long to print).
 
 Each command computes its result once, as one record.  --machine prints
 that record as a line of JSON with fixed field names; field order is part of
@@ -673,8 +673,9 @@ def _common_parser() -> argparse.ArgumentParser:
             "decompose shell allowed before giving up (exit 3), for every "
             "search over the subgroup: coset dke/combine/member, density "
             "--char, point decompose, ml solve/verify/suggest, eval and "
-            "axioms; ml also exits 3 when 2 * --slots exceeds it, and eval "
-            "when its largest x index + 2 * exists-gamma count does"
+            "axioms; ml also exits 3 when 2 * --slots exceeds it, eval "
+            "when its largest x index + 2 * exists-gamma count does, and "
+            "density/axioms when --bins does"
         ),
     )
     common.add_argument(

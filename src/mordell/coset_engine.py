@@ -9,12 +9,12 @@ given by explicit residue vectors.  Kernels of infinite index have no exact
 finite-modulus picture, so from_kernel_cosets marks its output as coarsened
 whenever the reduction can lose information.
 
-Every quotient and residue enumeration here, and every decomposition behind
-member and from_kernel_cosets, is bounded by the group's one ceiling
-(GammaSpec.ceiling, default 10**6) and fails loudly past it.  The CLI sets
-it with --ceiling, which so bounds coset dke, combine and member and
-density --char, as it bounds point decompose, ml solve/verify/suggest, eval
-and axioms.
+Every quotient and residue enumeration here, every decomposition behind
+member and from_kernel_cosets, and density_sample's bin count are bounded
+by the group's one ceiling (GammaSpec.ceiling, default 10**6) and fail
+loudly past it.  The CLI sets it with --ceiling, which so bounds coset dke,
+combine and member and density --char, as it bounds point decompose, ml
+solve/verify/suggest, eval and axioms.
 """
 
 from __future__ import annotations
@@ -36,17 +36,15 @@ from .fg_group import (
     make_histogram,
 )
 from .group_core import GroupPoint, is_identity
-from .intlinalg import kernel_basis, smith_normal_form
+from .intlinalg import kernel_basis
 
 __all__ = [
     "Character",
     "KernelDesc",
     "CosetUnion",
-    "smith_normal_form",
     "kernel_lattice",
     "dke",
     "full_union",
-    "empty_union",
     "rescale",
     "union",
     "intersect",
@@ -54,7 +52,6 @@ __all__ = [
     "complement",
     "member",
     "from_kernel_cosets",
-    "induced_member",
     "density_sample",
 ]
 
@@ -85,8 +82,6 @@ class KernelDesc:
     """
 
     n: int
-    rank: int
-    torsion_factors: tuple[int, ...]
     free_basis: tuple[tuple[int, ...], ...]
     torsion_solutions: tuple[frozenset[tuple[int, ...]], ...]
 
@@ -111,8 +106,6 @@ def kernel_lattice(gamma: GammaSpec, k: Sequence[int]) -> KernelDesc:
         tors.append(sols)
     return KernelDesc(
         n=n,
-        rank=r,
-        torsion_factors=gamma.torsion_factors,
         free_basis=tuple(tuple(v) for v in basis),
         torsion_solutions=tuple(tors),
     )
@@ -189,10 +182,6 @@ def full_union(gamma: GammaSpec, n: int, modulus: int) -> CosetUnion:
     return _make(
         gamma, n, modulus, itertools.product(desc.residues(), repeat=n)
     )
-
-
-def empty_union(gamma: GammaSpec, n: int, modulus: int) -> CosetUnion:
-    return _make(gamma, n, modulus, ())
 
 
 def dke(gamma: GammaSpec, k: Sequence[int], e: int) -> CosetUnion:
@@ -396,34 +385,6 @@ def from_kernel_cosets(
     return _make(gamma, n, modulus, residues, coarsened)
 
 
-def induced_member(
-    gamma: GammaSpec,
-    qf,
-    u: CosetUnion,
-    points: Sequence[GroupPoint],
-    bound: int = DEFAULT_COEFF_BOUND,
-) -> bool | Undecided:
-    """Conjunction of a quantifier-free condition on the tuple's affine
-    coordinates (anything with evaluate(values) -> bool, e.g. a parsed
-    formula body) and coset-union membership.
-
-    The condition sees 2n values: x then y of each point in order.  A tuple
-    containing the identity has no affine coordinates and is rejected.
-    """
-    if len(points) != u.n:
-        raise InputError(f"expected {u.n} points, got {len(points)}")
-    vals = []
-    for p in points:
-        if is_identity(p):
-            raise InputError(
-                "identity has no affine coordinates; condition undefined"
-            )
-        vals.extend((p.x, p.y))
-    if not qf.evaluate(vals):
-        return False
-    return member(u, points, bound)
-
-
 def density_sample(
     gamma: GammaSpec,
     u: CosetUnion,
@@ -433,9 +394,11 @@ def density_sample(
     bins: int,
 ) -> Histogram:
     """Histogram of x-coordinates of union members found within the height
-    budget.  Arity 1 only; the evidence says nothing beyond the budget."""
+    budget.  Arity 1 only; the evidence says nothing beyond the budget.
+    More bins than gamma's ceiling raise QuotientCeilingError."""
     if u.n != 1:
         raise InputError("density sampling is unsupported for arity > 1")
+    gamma.check_ceiling(bins)
     desc = gamma.gamma_mod(u.modulus)
     wanted = u.residue_set()
     members = [

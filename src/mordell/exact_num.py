@@ -13,7 +13,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DigitLimitError, InputError
 
@@ -136,10 +136,6 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, arity: int) -> MultiPoly:
-        return cls(arity, {})
-
-    @classmethod
     def constant(cls, arity: int, value) -> MultiPoly:
         return cls(arity, {(0,) * arity: _as_fraction(value)})
 
@@ -155,10 +151,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        """Degree of the zero polynomial is reported as -1."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def used_variables(self) -> set[int]:
         used = set()
@@ -248,22 +240,3 @@ def poly_eval(p: MultiPoly, point: Sequence) -> Fraction:
                 term *= v ** e
         total += term
     return total
-
-
-def sum_of_squares_combine(polys: Iterable[MultiPoly]) -> MultiPoly:
-    """p_0^2 + ... + p_{d-1}^2; vanishes exactly on the common zero set.
-
-    All inputs must share one arity.  Empty input is rejected (the zero
-    polynomial would vanish everywhere, which is never what a caller
-    combining a system of equations wants).
-    """
-    polys = list(polys)
-    if not polys:
-        raise InputError("sum_of_squares_combine needs at least one polynomial")
-    arity = polys[0].arity
-    acc = MultiPoly.zero(arity)
-    for p in polys:
-        if p.arity != arity:
-            raise InputError(f"arity mismatch: {p.arity} vs {arity}")
-        acc = acc + p * p
-    return acc

@@ -78,11 +78,7 @@ class QuotientDesc:
     kept so residue vectors stay aligned with Coords.
     """
 
-    modulus: int
-    rank: int
-    torsion_factors: tuple[int, ...]
     shape: tuple[int, ...]
-    invariant_factors: tuple[int, ...]
     size: int
 
     def reduce(self, coords: Coords) -> tuple[int, ...]:
@@ -93,30 +89,6 @@ class QuotientDesc:
 
     def residues(self) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(*(range(f) for f in self.shape))
-
-    def lift(self, residue: Sequence[int]) -> Coords:
-        residue = tuple(residue)
-        if len(residue) != len(self.shape):
-            raise InputError("residue does not match quotient shape")
-        if any(not 0 <= v < f for v, f in zip(residue, self.shape)):
-            raise InputError(f"residue {residue} out of range for shape {self.shape}")
-        return Coords(residue[: self.rank], residue[self.rank:])
-
-
-def _invariant_chain(factors: Sequence[int]) -> tuple[int, ...]:
-    """Normalize a list of cyclic factor orders to a divisibility chain."""
-    fs = [f for f in factors if f > 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                a, b = fs[i], fs[j]
-                if a % b and b % a:
-                    g = math.gcd(a, b)
-                    fs[i], fs[j] = g, a // g * b
-                    changed = True
-    return tuple(sorted(f for f in fs if f > 1))
 
 
 @dataclass(frozen=True)
@@ -131,10 +103,6 @@ class DensityEvidence:
     hit_bins: int
     points_seen: int
     low_coverage: bool
-
-    @property
-    def coverage(self) -> Fraction:
-        return Fraction(self.hit_bins, self.bins)
 
 
 @dataclass(frozen=True)
@@ -194,7 +162,8 @@ class GammaSpec:
 
     Gamma is infinite, so every search over it is bounded: `ceiling` caps
     each coefficient box, decompose shell and quotient enumerated over it,
-    here and in the modules built on it (check_ceiling).
+    and each histogram's bin count, here and in the modules built on it
+    (check_ceiling).
     """
 
     def __init__(
@@ -439,21 +408,7 @@ class GammaSpec:
         shape = (l,) * self.rank + tuple(math.gcd(l, d) for d in self.torsion_factors)
         size = math.prod(shape) if shape else 1
         self.check_ceiling(size)
-        return QuotientDesc(
-            modulus=l,
-            rank=self.rank,
-            torsion_factors=self.torsion_factors,
-            shape=shape,
-            invariant_factors=_invariant_chain(shape),
-            size=size,
-        )
-
-    def transversal(self, l: int) -> list[tuple[tuple[int, ...], GroupPoint]]:
-        """One realized representative per class of Gamma/l*Gamma, in
-        lexicographic residue order; representatives are canonical lifts
-        and genuinely lie in Gamma."""
-        desc = self.gamma_mod(l)
-        return [(res, self.realize(desc.lift(res))) for res in desc.residues()]
+        return QuotientDesc(shape=shape, size=size)
 
     def linear_dependence(
         self, points: Sequence[GroupPoint], bound: int = DEFAULT_COEFF_BOUND
@@ -528,7 +483,9 @@ class GammaSpec:
         self, lo: Fraction, hi: Fraction, height_bound: int, bins: int
     ) -> Histogram:
         """Histogram of x-coordinates of realized elements within the
-        height budget.  Identity has no x-coordinate and is not counted."""
+        height budget.  Identity has no x-coordinate and is not counted.
+        More bins than the ceiling raise QuotientCeilingError."""
+        self.check_ceiling(bins)
         pts = [p for _, p in self.bounded_points(height_bound)]
         return make_histogram((p for p in pts if not is_identity(p)), lo, hi, bins)
 
@@ -545,12 +502,14 @@ class GammaSpec:
         enumerated rational points (purity), and quotient sizes.
 
         rational_points, when given, replaces the variety enumeration at
-        height_bound (callers may hold a cached copy)."""
+        height_bound (callers may hold a cached copy).  More bins than the
+        ceiling raise QuotientCeilingError."""
         if n_max < 1:
             raise InputError("nMax must be >= 1")
         lo, hi, bins = sample_grid
         if not (lo < hi and bins >= 1):
             raise InputError("sample grid needs lo < hi and bins >= 1")
+        self.check_ceiling(bins)
         gamma_pts = [
             p
             for _, p in self.bounded_points(height_bound)

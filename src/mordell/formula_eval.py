@@ -49,10 +49,7 @@ __all__ = [
     "Formula",
     "TriBool",
     "parse",
-    "parse_qf",
     "format_formula",
-    "format_qf",
-    "eval_qf",
     "eval_block",
     "eval_formula",
 ]
@@ -436,14 +433,6 @@ def parse(
     return Formula(_build_qf(tree, s, s), s)
 
 
-def parse_qf(text: str, arity: int | None = None) -> QFFormula:
-    """Parse a block-free condition over x-variables only."""
-    tree, s, max_n = _scan(text, arity)
-    if max_n:
-        raise InputError("expected a quantifier-free condition without blocks")
-    return _build_qf(tree, s, s)
-
-
 def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
     """Parse a bare polynomial over x-variables (no comparisons, no blocks)."""
     tree, s, _ = _scan(text, arity)
@@ -503,23 +492,12 @@ def format_formula(f: Formula) -> str:
     return _fmt_node(f.root, f.free_arity)
 
 
-def format_qf(qf: QFFormula, arity: int) -> str:
-    """Render a standalone condition whose variables are all free."""
-    return _fmt_node(qf, arity)
-
-
 def format_poly(p: MultiPoly) -> str:
     """Render a bare polynomial; every position prints as an x-variable."""
     return _fmt_poly(p, p.arity)
 
 
 # -- evaluation --------------------------------------------------------------------
-
-
-def eval_qf(qf: QFFormula, assignment: Sequence) -> bool:
-    """Exact two-valued evaluation at a full rational assignment."""
-    vals = [_as_fraction(v) for v in assignment]
-    return qf.evaluate(vals)
 
 
 def eval_block(

@@ -1,5 +1,5 @@
 """Exact integer matrix utilities: Smith normal form with transform
-tracking, integer kernels, determinants, and a small lattice-of-rows helper.
+tracking, integer kernels, and a small lattice-of-rows helper.
 
 Everything works on plain Python ints (arbitrary precision); matrices are
 lists of row lists and are never mutated in place by the public functions.
@@ -21,18 +21,6 @@ def _copy_matrix(mat) -> list[list[int]]:
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a or not b:
-        return []
-    if len(a[0]) != len(b):
-        raise InputError("matrix shape mismatch in multiply")
-    cols = len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
 
 
 def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -130,16 +118,6 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
     return u, a, v
 
 
-def invariant_factors(mat) -> list[int]:
-    """Nonzero diagonal of the Smith form."""
-    _, d, _ = smith_normal_form(mat)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return out
-
-
 def kernel_basis(mat, width: int | None = None) -> list[list[int]]:
     """Basis of the integer kernel {x : M x = 0}, as a list of vectors.
 
@@ -156,32 +134,6 @@ def kernel_basis(mat, width: int | None = None) -> list[list[int]]:
     rank = sum(1 for i in range(min(len(d), n)) if d[i][i] != 0)
     # columns of V past the rank span the kernel
     return [[v[i][j] for i in range(n)] for j in range(rank, n)]
-
-
-def determinant(mat) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    a = _copy_matrix(mat)
-    n = len(a)
-    if n == 0:
-        return 1
-    if len(a[0]) != n:
-        raise InputError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def row_echelon_lattice_basis(vectors, dim: int) -> list[list[int]]:

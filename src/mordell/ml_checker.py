@@ -6,9 +6,9 @@ has no affine coordinates, so a tuple containing it is evaluated against a
 polynomial only when the polynomial does not mention that slot's variables
 (slot j owns variables 2j-1 and 2j, 1-based; group_core.slots_used states
 the rule for this module and formula_eval's blocks).  Otherwise the tuple is
-skipped outright -- in enumeration and in both verification directions --
-and reported through the optional `skipped` side channel.  A skipped tuple
-is neither a solution nor a non-solution.
+skipped outright -- in enumeration and in both verification directions.
+A skipped tuple is neither a solution nor a non-solution; only
+solutions_bounded reports them, through its optional `skipped` list.
 
 Verdicts are honest about their reach: Verified carries the coefficient
 bound it was checked at and promises nothing beyond it.
@@ -24,12 +24,9 @@ from .exact_num import MultiPoly, poly_eval
 from .fg_group import Coords, DEFAULT_COEFF_BOUND, GammaSpec
 from .group_core import (
     GroupPoint,
-    IDENTITY,
-    _add_raw,
     affine_values,
     format_point,
     is_identity,
-    scalar_mul,
     slots_used,
 )
 from .intlinalg import ZLattice, kernel_basis
@@ -42,7 +39,6 @@ __all__ = [
     "Verdict",
     "MISSING_FROM_UNION",
     "NOT_A_SOLUTION",
-    "character_image",
     "in_coset",
     "solutions_bounded",
     "verify_decomposition",
@@ -98,18 +94,6 @@ class Inconclusive:
 
 
 Verdict = Verified | Counterexample | Inconclusive
-
-
-def character_image(
-    gamma: GammaSpec, k: Sequence[int], points: Sequence[GroupPoint]
-) -> GroupPoint:
-    """k1*t1 + ... + kn*tn, computed by the group laws alone."""
-    if len(k) != len(points):
-        raise InputError("character and tuple arities differ")
-    acc: GroupPoint = IDENTITY
-    for ki, p in zip(k, points):
-        acc = _add_raw(gamma.backend, acc, scalar_mul(gamma.backend, ki, p))
-    return acc
 
 
 def in_coset(
@@ -175,7 +159,6 @@ def verify_decomposition(
     n: int,
     d: MLDecomposition,
     bound: int = DEFAULT_COEFF_BOUND,
-    skipped: list | None = None,
 ) -> Verdict:
     """Check both inclusions over the coefficient box.
 
@@ -197,7 +180,7 @@ def verify_decomposition(
     slot_used = slots_used(p.used_variables(), n)
     box = gamma.box(n, bound)
     classified = ((c, pts, _classify(p, slot_used, pts)) for c, pts in box)
-    return _check_union(gamma, d, classified, bound, skipped)
+    return _check_union(gamma, d, classified, bound)
 
 
 def _check_union(
@@ -205,14 +188,11 @@ def _check_union(
     d: MLDecomposition,
     classified,
     bound: int,
-    skipped: list | None = None,
 ) -> Verdict:
     """Both inclusions over (coords, points, class) triples in enumeration
     order; the first failing tuple becomes the Counterexample."""
     for coords, points, verdict in classified:
         if verdict == "skipped":
-            if skipped is not None:
-                skipped.append(points)
             continue
         in_union = any(in_coset(gamma, k, base, coords) for base, k in d.pairs)
         if verdict == "solution" and not in_union:

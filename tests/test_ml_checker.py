@@ -4,7 +4,7 @@ import pytest
 
 from mordell import ml_checker
 from mordell.errors import InputError
-from mordell.exact_num import poly_eval, sum_of_squares_combine
+from mordell.exact_num import poly_eval
 from mordell.fg_group import Coords, GammaSpec
 from mordell.formula_eval import parse_poly
 from mordell.group_core import (
@@ -22,12 +22,13 @@ from mordell.ml_checker import (
     MLDecomposition,
     NOT_A_SOLUTION,
     Verified,
-    character_image,
     in_coset,
     solutions_bounded,
     suggest_decomposition,
     verify_decomposition,
 )
+
+from .oracles import character_image
 
 ZERO1 = Coords((0,), ())
 
@@ -223,7 +224,8 @@ def test_suggest_singleton_by_sum_of_squares(gamma_p):
 def test_sum_of_squares_solutions_intersect(gamma_p):
     p1 = parse_poly("(- x1 x3)", 4)
     p2 = parse_poly("(- x1 129/100)", 4)
-    combined = sum_of_squares_combine([p1, p2])
+    # p1^2 + p2^2 vanishes exactly where both do
+    combined = parse_poly("(+ (^ (- x1 x3) 2) (^ (- x1 129/100) 2))", 4)
     a = set(solutions_bounded(gamma_p, p1, 2, bound=3))
     b = set(solutions_bounded(gamma_p, p2, 2, bound=3))
     c = set(solutions_bounded(gamma_p, combined, 2, bound=3))
