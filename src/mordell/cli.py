@@ -490,6 +490,7 @@ def cmd_density(args, gamma: GammaSpec) -> dict:
 def cmd_axioms(args, gamma: GammaSpec) -> dict:
     lo = parse_rational(args.lo)
     hi = parse_rational(args.hi)
+    gamma.check_ceiling(args.bins)  # before the enumeration, not after it
     cache = PointCache(_resolve_cache_dir(args))
     points = cached_rational_points(cache, gamma.backend, args.height)
     report = gamma.check_axioms_bounded(

@@ -86,6 +86,8 @@ def mat_mul(a, b):
     """The integer matrix product a*b."""
     if not a or not b:
         return []
+    assert all(len(row) == len(b) for row in a), "matrix shape mismatch in multiply"
+    assert all(len(row) == len(b[0]) for row in b), "ragged right factor"
     return [
         [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
         for i in range(len(a))
@@ -99,6 +101,7 @@ def determinant(mat) -> int:
     n = len(a)
     if n == 0:
         return 1
+    assert all(len(row) == n for row in a), "determinant needs a square matrix"
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -673,6 +673,20 @@ def test_stale_format_version_is_ignored(spec_dir, tmp_path, capsys):
     assert json.loads(path.read_text())["format_version"] == cli.CACHE_FORMAT_VERSION
 
 
+def test_axioms_refuses_bins_before_enumerating(spec_dir, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("axioms enumerated points for a refused bin count")
+
+    monkeypatch.setattr(cli, "cached_rational_points", refuse)
+    cache = tmp_path / "cache"
+    argv = _axioms_argv(spec_dir, ["--bins", "1000000000", "--cache-dir", str(cache)])
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 3
+    assert out == ""
+    assert "size 1000000000 exceeds ceiling 1000000" in err
+    assert not cache.exists()
+
+
 def test_no_cache_leaves_no_files(spec_dir, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MORDELL_CACHE_DIR", str(tmp_path / "envcache"))
     rc, _, _ = run_cli(capsys, _axioms_argv(spec_dir, ["--no-cache"]))

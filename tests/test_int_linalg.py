@@ -67,6 +67,19 @@ def test_invariant_factors_match_oracle():
         assert _nonzero_diagonal(mat) == naive_invariant_factors(mat)
 
 
+def test_oracles_reject_misshapen_matrices():
+    # c7 and the transform checks above rely on these guards: a U or V with
+    # a surplus column must not pass as a product or a determinant
+    with pytest.raises(AssertionError):
+        mat_mul([[1, 0, 5]], [[1], [0]])
+    with pytest.raises(AssertionError):
+        mat_mul([[1, 0]], [[1, 0], [0]])
+    with pytest.raises(AssertionError):
+        determinant([[1, 0, 7], [0, 1, 0]])
+    with pytest.raises(AssertionError):
+        determinant([[1, 0], [0, 1, 4]])
+
+
 def test_determinant_small_cases():
     assert determinant([[5]]) == 5
     assert determinant([[1, 2], [3, 4]]) == -2
