@@ -303,7 +303,7 @@ def _union_json(u) -> dict:
         "arity": u.n,
         "modulus": u.modulus,
         "residues": [[list(slot) for slot in res] for res in u.residues],
-        "coarsened": u.coarsened,
+        "coarsened": False,  # every union is exact; the key keeps the record format
     }
 
 
@@ -490,15 +490,11 @@ def cmd_density(args, gamma: GammaSpec) -> dict:
 def cmd_axioms(args, gamma: GammaSpec) -> dict:
     lo = parse_rational(args.lo)
     hi = parse_rational(args.hi)
-    gamma.check_ceiling(args.bins)  # before the enumeration, not after it
+    gamma.check_ceiling(args.bins, "histogram")  # before the enumeration, not after it
     cache = PointCache(_resolve_cache_dir(args))
     points = cached_rational_points(cache, gamma.backend, args.height)
     report = gamma.check_axioms_bounded(
-        args.n_max,
-        args.height,
-        (lo, hi, args.bins),
-        args.bound,
-        rational_points=points,
+        args.n_max, args.height, (lo, hi, args.bins), points, args.bound
     )
     d = report.density
     return {

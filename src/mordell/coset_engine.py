@@ -1,20 +1,19 @@
-"""Integer characters on n-tuples, their kernels, and finite-modulus coset
-unions with exact boolean algebra.
+"""Integer characters on n-tuples and finite-modulus coset unions with exact
+boolean algebra.
 
 A character k = (k1, ..., kn) sends a tuple (t1, ..., tn) in Gamma^n to
-k1*t1 + ... + kn*tn.  Its kernel splits into a free lattice in Z^(rn) and
-per-invariant-factor residue solutions; that exact object is a KernelDesc.
-CosetUnion is reserved for finite-modulus sets: subsets of (Gamma/l*Gamma)^n
-given by explicit residue vectors.  Kernels of infinite index have no exact
-finite-modulus picture, so from_kernel_cosets marks its output as coarsened
-whenever the reduction can lose information.
+k1*t1 + ... + kn*tn.  A CosetUnion is a union of classes of (l*Gamma)^n in
+Gamma^n, given by explicit residue vectors in (Gamma/l*Gamma)^n, and it is
+exactly the set it lists: dke finds its classes by enumerating the finite
+quotient, and the set operations rescale both operands to one modulus, which
+loses nothing.
 
 Every quotient and residue enumeration here, every decomposition behind
-member and from_kernel_cosets, and density_sample's bin count are bounded
-by the group's one ceiling (GammaSpec.ceiling, default 10**6) and fail
-loudly past it.  The CLI sets it with --ceiling, which so bounds coset dke,
-combine and member and density --char, as it bounds point decompose, ml
-solve/verify/suggest, eval and axioms.
+member, and density_sample's bin count are bounded by the group's one
+ceiling (GammaSpec.ceiling, default 10**6) and fail loudly past it.  The CLI
+sets it with --ceiling, which so bounds coset dke, combine and member and
+density --char, as it bounds point decompose, ml solve/verify/suggest, eval
+and axioms.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 from .fg_group import (
-    Coords,
     DEFAULT_COEFF_BOUND,
     GammaSpec,
     Histogram,
@@ -36,13 +34,10 @@ from .fg_group import (
     make_histogram,
 )
 from .group_core import GroupPoint, is_identity
-from .intlinalg import kernel_basis
 
 __all__ = [
     "Character",
-    "KernelDesc",
     "CosetUnion",
-    "kernel_lattice",
     "dke",
     "full_union",
     "rescale",
@@ -51,7 +46,6 @@ __all__ = [
     "difference",
     "complement",
     "member",
-    "from_kernel_cosets",
     "density_sample",
 ]
 
@@ -72,61 +66,18 @@ def _check_character(k: Sequence[int]) -> Character:
 
 
 @dataclass(frozen=True)
-class KernelDesc:
-    """Exact description of ker(character) inside Gamma^n.
-
-    free_basis spans the integer lattice of free coordinate vectors
-    (blocked point-by-point, r entries per point) killed by the character;
-    torsion_solutions[j] lists the residue tuples mod the j-th invariant
-    factor that the character annihilates.
-    """
-
-    n: int
-    free_basis: tuple[tuple[int, ...], ...]
-    torsion_solutions: tuple[frozenset[tuple[int, ...]], ...]
-
-
-def kernel_lattice(gamma: GammaSpec, k: Sequence[int]) -> KernelDesc:
-    """ker(chi_k) in Gamma^n as free lattice plus torsion solution sets."""
-    k = _check_character(k)
-    n = len(k)
-    r = gamma.rank
-    rows = [[0] * (r * n) for _ in range(r)]
-    for i in range(r):
-        for j in range(n):
-            rows[i][j * r + i] = k[j]
-    basis = kernel_basis(rows, width=r * n)
-    tors = []
-    for d in gamma.torsion_factors:
-        sols = frozenset(
-            t
-            for t in itertools.product(range(d), repeat=n)
-            if sum(ki * ti for ki, ti in zip(k, t)) % d == 0
-        )
-        tors.append(sols)
-    return KernelDesc(
-        n=n,
-        free_basis=tuple(tuple(v) for v in basis),
-        torsion_solutions=tuple(tors),
-    )
-
-
-@dataclass(frozen=True)
 class CosetUnion:
     """A finite union of residue classes of (l*Gamma)^n inside Gamma^n.
 
+    The union is exactly the set of tuples whose residues it lists.
     residues are kept sorted and duplicate-free, so equal sets compare
-    equal.  coarsened marks unions produced by reducing an infinite-index
-    kernel to a finite modulus (a sound overapproximation, not the set
-    itself) and survives every operation; it does not take part in
-    equality.
+    equal.
     """
 
     gamma: GammaSpec = field(compare=False)
     n: int
     modulus: int
     residues: tuple[Residue, ...]
-    coarsened: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -152,19 +103,9 @@ class CosetUnion:
         return frozenset(self.residues)
 
 
-def _make(
-    gamma: GammaSpec,
-    n: int,
-    modulus: int,
-    residues: Iterable[Residue],
-    coarsened: bool = False,
-) -> CosetUnion:
+def _make(gamma: GammaSpec, n: int, modulus: int, residues: Iterable[Residue]) -> CosetUnion:
     return CosetUnion(
-        gamma=gamma,
-        n=n,
-        modulus=modulus,
-        residues=tuple(sorted(set(residues))),
-        coarsened=coarsened,
+        gamma=gamma, n=n, modulus=modulus, residues=tuple(sorted(set(residues)))
     )
 
 
@@ -178,7 +119,7 @@ def _same_setting(a: CosetUnion, b: CosetUnion) -> None:
 def full_union(gamma: GammaSpec, n: int, modulus: int) -> CosetUnion:
     """All of Gamma^n, written at the given modulus."""
     desc = gamma.gamma_mod(modulus)
-    gamma.check_ceiling(desc.size**n)
+    gamma.check_ceiling(desc.size**n, "residue enumeration")
     return _make(
         gamma, n, modulus, itertools.product(desc.residues(), repeat=n)
     )
@@ -193,7 +134,7 @@ def dke(gamma: GammaSpec, k: Sequence[int], e: int) -> CosetUnion:
         raise InputError(f"e must be >= 1, got {e}")
     n = len(k)
     desc = gamma.gamma_mod(e)
-    gamma.check_ceiling(desc.size**n)
+    gamma.check_ceiling(desc.size**n, "residue enumeration")
     shape = desc.shape
     hits = []
     for t in itertools.product(desc.residues(), repeat=n):
@@ -214,7 +155,7 @@ def rescale(u: CosetUnion, modulus: int) -> CosetUnion:
     old = u.gamma.gamma_mod(u.modulus)
     new = u.gamma.gamma_mod(modulus)
     per_point = new.size // old.size
-    u.gamma.check_ceiling(len(u.residues) * per_point**u.n)
+    u.gamma.check_ceiling(len(u.residues) * per_point**u.n, "residue enumeration")
     if modulus == u.modulus:
         return u
     # preimage of v under Z/new -> Z/old is {v + old*t}, coordinatewise
@@ -235,7 +176,7 @@ def rescale(u: CosetUnion, modulus: int) -> CosetUnion:
                 ]
             )
         out.extend(itertools.product(*lifted_per_point))
-    return _make(u.gamma, u.n, modulus, out, u.coarsened)
+    return _make(u.gamma, u.n, modulus, out)
 
 
 def _combine(a: CosetUnion, b: CosetUnion, op) -> CosetUnion:
@@ -243,7 +184,7 @@ def _combine(a: CosetUnion, b: CosetUnion, op) -> CosetUnion:
     _same_setting(a, b)
     l = math.lcm(a.modulus, b.modulus)
     residues = op(rescale(a, l).residue_set(), rescale(b, l).residue_set())
-    return _make(a.gamma, a.n, l, residues, a.coarsened or b.coarsened)
+    return _make(a.gamma, a.n, l, residues)
 
 
 def union(a: CosetUnion, b: CosetUnion) -> CosetUnion:
@@ -282,109 +223,6 @@ def member(
     return tuple(vecs) in u.residue_set()
 
 
-def _kernel_image_mod(gamma: GammaSpec, kd: KernelDesc, modulus: int) -> list[Residue]:
-    """Image of the kernel subgroup in (Gamma/modulus)^n, as residues."""
-    desc = gamma.gamma_mod(modulus)
-    r = gamma.rank
-    n = kd.n
-    # free part: subgroup of (Z/modulus)^(rn) spanned by the basis images
-    zero = (0,) * (r * n)
-    free_img = {zero}
-    frontier = [zero]
-    gens = [tuple(x % modulus for x in v) for v in kd.free_basis]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                s = tuple((a + b) % modulus for a, b in zip(w, g))
-                if s not in free_img:
-                    gamma.check_ceiling(len(free_img) + 1)
-                    free_img.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    # torsion part: solutions reduced per factor to gcd(modulus, d)
-    tors_shape = desc.shape[r:]
-    tors_imgs = []
-    for j, sols in enumerate(kd.torsion_solutions):
-        tors_imgs.append(
-            sorted({tuple(t % tors_shape[j] for t in sol) for sol in sols})
-        )
-    total = len(free_img) * math.prod(len(s) for s in tors_imgs)
-    gamma.check_ceiling(total)
-    out = []
-    for v in sorted(free_img):
-        for tor_choice in itertools.product(*tors_imgs):
-            # tor_choice[j][i] is point i's residue mod factor j
-            res = tuple(
-                v[i * r : (i + 1) * r]
-                + tuple(tor_choice[j][i] for j in range(len(tors_imgs)))
-                for i in range(n)
-            )
-            out.append(res)
-    return out
-
-
-def _residue_add(res_a: Residue, res_b: Residue, shape: tuple[int, ...]) -> Residue:
-    return tuple(
-        tuple((x + y) % s for x, y, s in zip(va, vb, shape))
-        for va, vb in zip(res_a, res_b)
-    )
-
-
-def from_kernel_cosets(
-    gamma: GammaSpec,
-    pairs: Sequence[tuple[Sequence[GroupPoint | Coords], Sequence[int]]],
-    modulus: int,
-    bound: int = DEFAULT_COEFF_BOUND,
-) -> CosetUnion:
-    """Reduce a union of kernel cosets base_i + ker(k_i) mod (modulus*Gamma)^n.
-
-    The result always contains the image of the true set, but a kernel of
-    infinite index is not a union of classes at any finite modulus, so the
-    class union can be strictly larger; such outputs carry coarsened=True.
-    Base tuples may be given as points (decomposed here, and a failed
-    decomposition is an error) or directly as Coords.
-    """
-    if modulus < 1:
-        raise InputError("modulus must be >= 1")
-    if not pairs:
-        raise InputError("need at least one (base, character) pair")
-    n = len(_check_character(pairs[0][1]))
-    desc = gamma.gamma_mod(modulus)
-    shape = desc.shape
-    residues: set[Residue] = set()
-    coarsened = False
-    for base, k in pairs:
-        k = _check_character(k)
-        if len(k) != n:
-            raise InputError("all characters must share one arity")
-        if len(base) != n:
-            raise InputError(f"base tuple needs {n} entries, got {len(base)}")
-        base_res = []
-        for entry in base:
-            c = entry if isinstance(entry, Coords) else gamma.decompose(entry, bound)
-            if isinstance(c, Undecided):
-                raise InputError(
-                    f"base point does not decompose at bound {bound}"
-                )
-            base_res.append(desc.reduce(c))
-        base_res = tuple(base_res)
-        kd = kernel_lattice(gamma, k)
-        for img in _kernel_image_mod(gamma, kd, modulus):
-            residues.add(_residue_add(base_res, img, shape))
-            gamma.check_ceiling(len(residues))
-        # reduction is exact iff (modulus*Gamma)^n sits inside the kernel
-        free_exact = gamma.rank == 0 or all(ki == 0 for ki in k)
-        tors_exact = all(
-            (modulus * ki) % d == 0
-            for d in gamma.torsion_factors
-            for ki in k
-        )
-        if not (free_exact and tors_exact):
-            coarsened = True
-    return _make(gamma, n, modulus, residues, coarsened)
-
-
 def density_sample(
     gamma: GammaSpec,
     u: CosetUnion,
@@ -398,7 +236,7 @@ def density_sample(
     More bins than gamma's ceiling raise QuotientCeilingError."""
     if u.n != 1:
         raise InputError("density sampling is unsupported for arity > 1")
-    gamma.check_ceiling(bins)
+    gamma.check_ceiling(bins, "histogram")
     desc = gamma.gamma_mod(u.modulus)
     wanted = u.residue_set()
     members = [

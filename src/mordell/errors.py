@@ -22,21 +22,26 @@ class PreconditionError(RuntimeError):
 
 
 class QuotientCeilingError(RuntimeError):
-    """A quotient, residue or coefficient-box enumeration would exceed the
-    configured ceiling."""
+    """An enumeration would exceed the configured ceiling; what names the
+    thing refused (a coefficient box, a decompose shell, a quotient, a
+    residue enumeration, a histogram)."""
 
-    def __init__(self, attempted: int, ceiling: int):
+    def __init__(self, attempted: int, ceiling: int, what: str):
         self.attempted = attempted
         self.ceiling = ceiling
+        self.what = what
         super().__init__(self._message())
 
     def _message(self) -> str:
-        return f"residue enumeration of size {self.attempted} exceeds ceiling {self.ceiling}"
+        return f"{self.what} of size {self.attempted} exceeds ceiling {self.ceiling}"
 
 
 class ArityCeilingError(QuotientCeilingError):
     """A polynomial would have more variables than the ceiling allows;
     attempted is its arity, the length of every exponent vector."""
+
+    def __init__(self, attempted: int, ceiling: int):
+        super().__init__(attempted, ceiling, "polynomial arity")
 
     def _message(self) -> str:
         return (
@@ -48,6 +53,9 @@ class ArityCeilingError(QuotientCeilingError):
 class DigitLimitError(QuotientCeilingError):
     """A number has more decimal digits than the int-to-str limit lets
     print; attempted is its digit count."""
+
+    def __init__(self, attempted: int, ceiling: int):
+        super().__init__(attempted, ceiling, "number")
 
     def _message(self) -> str:
         return (

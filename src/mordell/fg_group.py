@@ -253,10 +253,11 @@ class GammaSpec:
     def torsion_factors(self) -> tuple[int, ...]:
         return self.torsion.invariant_factors
 
-    def check_ceiling(self, size: int) -> None:
-        """Refuse an enumeration of more than `ceiling` elements."""
+    def check_ceiling(self, size: int, what: str) -> None:
+        """Refuse an enumeration of more than `ceiling` elements; what names
+        it in the error."""
         if size > self.ceiling:
-            raise QuotientCeilingError(size, self.ceiling)
+            raise QuotientCeilingError(size, self.ceiling, what)
 
     # -- realize ----------------------------------------------------------------
 
@@ -339,7 +340,9 @@ class GammaSpec:
         ceiling on the call; points are realized once iteration starts."""
         if bound < 0:
             raise InputError("coefficient bound must be >= 0")
-        self.check_ceiling(((2 * bound + 1) ** self.rank * math.prod(self.torsion_factors)) ** n)
+        self.check_ceiling(
+            ((2 * bound + 1) ** self.rank * math.prod(self.torsion_factors)) ** n, "coefficient box"
+        )
 
         def tuples():
             slot = [(c, self.realize(c)) for c in self.iter_coords(bound)]
@@ -368,7 +371,9 @@ class GammaSpec:
         last = bound if self.rank else 0
         while found is None and self._index_bound < last:
             m = self._index_bound + 1
-            self.check_ceiling((2 * m + 1) ** self.rank * math.prod(self.torsion_factors))
+            self.check_ceiling(
+                (2 * m + 1) ** self.rank * math.prod(self.torsion_factors), "decompose shell"
+            )
             for c in self.shell_coords(m):
                 self._index.setdefault(self.realize(c), c)
             self._index_bound = m
@@ -407,7 +412,7 @@ class GammaSpec:
             raise InputError(f"modulus must be >= 1, got {l}")
         shape = (l,) * self.rank + tuple(math.gcd(l, d) for d in self.torsion_factors)
         size = math.prod(shape) if shape else 1
-        self.check_ceiling(size)
+        self.check_ceiling(size, "quotient")
         return QuotientDesc(shape=shape, size=size)
 
     def linear_dependence(
@@ -485,7 +490,7 @@ class GammaSpec:
         """Histogram of x-coordinates of realized elements within the
         height budget.  Identity has no x-coordinate and is not counted.
         More bins than the ceiling raise QuotientCeilingError."""
-        self.check_ceiling(bins)
+        self.check_ceiling(bins, "histogram")
         pts = [p for _, p in self.bounded_points(height_bound)]
         return make_histogram((p for p in pts if not is_identity(p)), lo, hi, bins)
 
@@ -494,22 +499,22 @@ class GammaSpec:
         n_max: int,
         height_bound: int,
         sample_grid: tuple[Fraction, Fraction, int],
+        rational_points: Sequence[GroupPoint],
         bound: int = DEFAULT_COEFF_BOUND,
-        rational_points: Sequence[GroupPoint] | None = None,
     ) -> AxiomsReport:
         """Bounded evidence for the subgroup axioms: grid coverage of the
-        identity component (density), divisibility spot-checks over all
-        enumerated rational points (purity), and quotient sizes.
+        identity component (density), divisibility spot-checks over the
+        given rational points (purity), and quotient sizes.
 
-        rational_points, when given, replaces the variety enumeration at
-        height_bound (callers may hold a cached copy).  More bins than the
-        ceiling raise QuotientCeilingError."""
+        rational_points are the variety's points up to height_bound, as
+        enumerated (or cached) by the caller.  More bins than the ceiling
+        raise QuotientCeilingError."""
         if n_max < 1:
             raise InputError("nMax must be >= 1")
         lo, hi, bins = sample_grid
         if not (lo < hi and bins >= 1):
             raise InputError("sample grid needs lo < hi and bins >= 1")
-        self.check_ceiling(bins)
+        self.check_ceiling(bins, "histogram")
         gamma_pts = [
             p
             for _, p in self.bounded_points(height_bound)
@@ -525,14 +530,10 @@ class GammaSpec:
             points_seen=len(gamma_pts),
             low_coverage=Fraction(hit, bins) < Fraction(1, 2),
         )
-        if rational_points is None:
-            enumerated = group_core.enumerate_rational_points(self.backend, height_bound)
-        else:
-            enumerated = list(rational_points)
         checks = []
         for n in range(1, n_max + 1):
             findings = []
-            for q in enumerated:
+            for q in rational_points:
                 nq = scalar_mul(self.backend, n, q)
                 if isinstance(self.decompose(nq, bound), Undecided):
                     continue

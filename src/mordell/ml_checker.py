@@ -253,7 +253,7 @@ def suggest_decomposition(
     slot_used = slots_used(p.used_variables(), n)
     r = gamma.rank
     box = gamma.box(n, bound)
-    gamma.check_ceiling((4 * bound + 1) ** (r * n))  # the doubled window
+    gamma.check_ceiling((4 * bound + 1) ** (r * n), "coefficient box")  # the doubled window
 
     entries = []  # (coords, points, class)
     # keyed by the box's own coords tuples, so the box adds no new keys

@@ -323,7 +323,7 @@ def test_decompose_searches_shells_under_ceiling(spec, args, code, out, spec_dir
     rc, got, err = run_cli(capsys, _argv(spec_dir, spec, args, ["--no-cache"]))
     assert (rc, got) == (code, out)
     if code == 3:
-        assert err.splitlines() == ["error: residue enumeration of size 23 exceeds ceiling 21"]
+        assert err.splitlines() == ["error: decompose shell of size 23 exceeds ceiling 21"]
 
 
 def test_ml_verify_decomposition_inline(spec_dir, capsys):
@@ -392,6 +392,17 @@ def test_suggest_verify_round_trip(spec_dir, capsys, tmp_path):
     rc, out2, _ = run_cli(capsys, verify + ["--decomposition", f"@{path}"] + base)
     assert rc == 0
     assert out2 == out
+
+
+def test_coset_combine_union(spec_dir, capsys):
+    # 2:4 and 3:6 are both the even classes, so their union at the lcm 12 is too
+    args = ["coset", "combine", "--op", "union", "2:4", "3:6"]
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, ["--machine", "--no-cache"]))
+    assert (rc, err) == (0, "")
+    rec = json.loads(out)
+    assert rec["modulus"] == 12
+    assert rec["residues"] == [[[r]] for r in range(0, 12, 2)]
+    assert rec["coarsened"] is False
 
 
 # -- exit codes ---------------------------------------------------------------------
@@ -470,6 +481,13 @@ TEN_2500 = 10**2500
          "size 1000000000 exceeds ceiling 1000000"),
         ("m2.json", ["axioms", "--bins", "1000000000", "--height", "5"], 3,
          "size 1000000000 exceeds ceiling 1000000"),
+        # coset combine checks its operand count and the operands' arities
+        ("m2.json", ["coset", "combine", "--op", "union", "1:2"], 2,
+         "union takes exactly two operands"),
+        ("m2.json", ["coset", "combine", "--op", "complement", "1:2", "1:4"], 2,
+         "complement takes exactly one operand"),
+        ("m2.json", ["coset", "combine", "--op", "union", "1:2", "1,1:2"], 2,
+         "arity mismatch: 1 vs 2"),
     ],
 )
 def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
@@ -582,6 +600,27 @@ def test_ceiling_flag_is_honored(spec_dir, capsys):
 
 
 @pytest.mark.parametrize(
+    "args,line",
+    [
+        (["density", "--lo", "0", "--hi", "1", "--bins", "1000000000"],
+         "error: histogram of size 1000000000 exceeds ceiling 1000000"),
+        (["axioms", "--bins", "1000000000", "--height", "5"],
+         "error: histogram of size 1000000000 exceeds ceiling 1000000"),
+        (["coset", "dke", "--char", "1", "--exponent", "2000000"],
+         "error: quotient of size 2000000 exceeds ceiling 1000000"),
+        (["coset", "dke", "--char", "1,1", "--exponent", "10000"],
+         "error: residue enumeration of size 100000000 exceeds ceiling 1000000"),
+    ],
+)
+def test_ceiling_error_names_what_it_refused(args, line, spec_dir, capsys):
+    # decompose shells and coefficient boxes are named in the two tests
+    # that pin their ceilings
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, ["--no-cache"]))
+    assert (rc, out) == (3, "")
+    assert err.splitlines() == [line]
+
+
+@pytest.mark.parametrize(
     "args,ceiling",
     [
         # 7^2 = 49 box tuples
@@ -598,7 +637,8 @@ def test_box_searches_obey_ceiling(args, ceiling, spec_dir, capsys):
     argv = args + ["--spec", str(spec_dir / "m2.json"), "--no-cache"]
     rc, out, err = run_cli(capsys, argv + ["--ceiling", ceiling])
     assert (rc, out) == (3, "")
-    assert err.splitlines() == [f"error: residue enumeration of size {int(ceiling) + 1} exceeds ceiling {ceiling}"]
+    # every row, the suggest window included, refuses a coefficient box
+    assert err.splitlines() == [f"error: coefficient box of size {int(ceiling) + 1} exceeds ceiling {ceiling}"]
     rc, _, _ = run_cli(capsys, argv + ["--ceiling", str(int(ceiling) + 1)])
     assert rc == 0
 

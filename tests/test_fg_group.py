@@ -15,6 +15,7 @@ from mordell.group_core import (
     IDENTITY,
     Circle,
     add,
+    enumerate_rational_points,
     format_point,
     make_curve,
     negate,
@@ -290,6 +291,7 @@ def test_gamma_mod_ceiling(gamma_p):
         gamma_p.gamma_mod(10**7)
     assert exc.value.attempted == 10**7
     assert exc.value.ceiling == 10**6
+    assert exc.value.what == "quotient"
 
 
 def test_quotient_reduce(gamma_circle):
@@ -356,7 +358,7 @@ def test_histogram_edges_exact(gamma_p):
 
 def test_axioms_report_purity(gamma_2p, curve_m2):
     report = gamma_2p.check_axioms_bounded(
-        2, 30, (Fraction(-4), Fraction(4), 8), bound=16
+        2, 30, (Fraction(-4), Fraction(4), 8), enumerate_rational_points(curve_m2, 30), bound=16
     )
     finds = [f for c in report.checks for f in c.purity_findings]
     witnesses = {format_point(f.witness) for f in finds}
@@ -367,7 +369,8 @@ def test_axioms_report_purity(gamma_2p, curve_m2):
 
 def test_axioms_report_quotients(gamma_p):
     report = gamma_p.check_axioms_bounded(
-        3, 30, (Fraction(-4), Fraction(4), 8), bound=16
+        3, 30, (Fraction(-4), Fraction(4), 8), enumerate_rational_points(gamma_p.backend, 30),
+        bound=16,
     )
     assert [c.quotient_size for c in report.checks] == [1, 2, 3]
     assert not any(c.purity_findings for c in report.checks)
@@ -375,6 +378,7 @@ def test_axioms_report_quotients(gamma_p):
 
 def test_axioms_density_flags_thin_subgroups(gamma_torsion):
     report = gamma_torsion.check_axioms_bounded(
-        1, 100, (Fraction(-10), Fraction(10), 10), bound=4
+        1, 100, (Fraction(-10), Fraction(10), 10),
+        enumerate_rational_points(gamma_torsion.backend, 100), bound=4,
     )
     assert report.density.low_coverage is True
