@@ -24,7 +24,7 @@ class PreconditionError(RuntimeError):
 class QuotientCeilingError(RuntimeError):
     """An enumeration would exceed the configured ceiling; what names the
     thing refused (a coefficient box, a decompose shell, a quotient, a
-    residue enumeration, a histogram)."""
+    residue enumeration, a histogram, a point enumeration)."""
 
     def __init__(self, attempted: int, ceiling: int, what: str):
         self.attempted = attempted

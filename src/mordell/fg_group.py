@@ -92,48 +92,6 @@ class QuotientDesc:
 
 
 @dataclass(frozen=True)
-class DensityEvidence:
-    """Grid coverage of the identity component's x-projection by realized
-    group elements.  Evidence only; bounded search proves nothing about
-    density."""
-
-    lo: Fraction
-    hi: Fraction
-    bins: int
-    hit_bins: int
-    points_seen: int
-    low_coverage: bool
-
-
-@dataclass(frozen=True)
-class PurityFinding:
-    """q is an enumerated rational point with n*q decomposable in Gamma but
-    q itself Undecided at the bound: evidence against purity (axiom-style
-    divisibility), not a proof."""
-
-    witness: GroupPoint
-    n: int
-    bound: int
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    n: int
-    quotient_size: int
-    purity_findings: tuple[PurityFinding, ...]
-
-
-@dataclass(frozen=True)
-class AxiomsReport:
-    density: DensityEvidence
-    checks: tuple[AxiomCheck, ...]
-    note: str = (
-        "density and purity entries are bounded evidence, not proofs; "
-        "decomposition-shape conditions are exercised by the ml verify command"
-    )
-
-
-@dataclass(frozen=True)
 class Histogram:
     lo: Fraction
     hi: Fraction
@@ -162,8 +120,8 @@ class GammaSpec:
 
     Gamma is infinite, so every search over it is bounded: `ceiling` caps
     each coefficient box, decompose shell and quotient enumerated over it,
-    and each histogram's bin count, here and in the modules built on it
-    (check_ceiling).
+    each histogram's bin count and the point enumeration of axioms, here
+    and in the modules built on it (check_ceiling).
     """
 
     def __init__(
@@ -493,60 +451,6 @@ class GammaSpec:
         self.check_ceiling(bins, "histogram")
         pts = [p for _, p in self.bounded_points(height_bound)]
         return make_histogram((p for p in pts if not is_identity(p)), lo, hi, bins)
-
-    def check_axioms_bounded(
-        self,
-        n_max: int,
-        height_bound: int,
-        sample_grid: tuple[Fraction, Fraction, int],
-        rational_points: Sequence[GroupPoint],
-        bound: int = DEFAULT_COEFF_BOUND,
-    ) -> AxiomsReport:
-        """Bounded evidence for the subgroup axioms: grid coverage of the
-        identity component (density), divisibility spot-checks over the
-        given rational points (purity), and quotient sizes.
-
-        rational_points are the variety's points up to height_bound, as
-        enumerated (or cached) by the caller.  More bins than the ceiling
-        raise QuotientCeilingError."""
-        if n_max < 1:
-            raise InputError("nMax must be >= 1")
-        lo, hi, bins = sample_grid
-        if not (lo < hi and bins >= 1):
-            raise InputError("sample grid needs lo < hi and bins >= 1")
-        self.check_ceiling(bins, "histogram")
-        gamma_pts = [
-            p
-            for _, p in self.bounded_points(height_bound)
-            if not is_identity(p) and group_core.component_of(self.backend, p)
-        ]
-        hist = make_histogram(gamma_pts, lo, hi, bins)
-        hit = sum(1 for c in hist.counts if c)
-        density = DensityEvidence(
-            lo=lo,
-            hi=hi,
-            bins=bins,
-            hit_bins=hit,
-            points_seen=len(gamma_pts),
-            low_coverage=Fraction(hit, bins) < Fraction(1, 2),
-        )
-        checks = []
-        for n in range(1, n_max + 1):
-            findings = []
-            for q in rational_points:
-                nq = scalar_mul(self.backend, n, q)
-                if isinstance(self.decompose(nq, bound), Undecided):
-                    continue
-                if isinstance(self.decompose(q, bound), Undecided):
-                    findings.append(PurityFinding(witness=q, n=n, bound=bound))
-            checks.append(
-                AxiomCheck(
-                    n=n,
-                    quotient_size=self.gamma_mod(n).size,
-                    purity_findings=tuple(findings),
-                )
-            )
-        return AxiomsReport(density=density, checks=tuple(checks))
 
 
 def shell(rank: int, m: int) -> Iterator[tuple[int, ...]]:

@@ -363,46 +363,20 @@ def real_components(backend: Backend) -> int:
     return 2 if discriminant_term(backend) < 0 else 1
 
 
-def _cubic(curve: Curve, x: Fraction) -> Fraction:
-    return x**3 + curve.a * x + curve.b
-
-
-def unbounded_branch_separator(curve: Curve) -> Fraction | None:
-    """A rational c strictly between the two largest real roots of the
-    cubic, or None when there is a single real root.
-
-    With roots e1 < e2 < e3 the curve's real points split into the bounded
-    oval (x in [e1, e2]) and the unbounded identity branch (x >= e3), so
-    comparing x against c classifies every point exactly.  Found by
-    bisecting toward the local minimum of the cubic at sqrt(-a/3), where
-    the cubic is strictly negative; only rational arithmetic is used.
-    """
-    validate_backend(curve)
-    if discriminant_term(curve) > 0:
-        return None
-    # three distinct real roots force a < 0, so the local minimum is at
-    # t = sqrt(-a/3) > 0 and lies strictly between e2 and e3
-    lo = Fraction(0)
-    hi = 1 + max(Fraction(0), -curve.a / 3)
-    while True:
-        mid = (lo + hi) / 2
-        if _cubic(curve, mid) < 0:
-            # mid >= 0 and cubic negative puts mid strictly inside (e2, e3)
-            return mid
-        if 3 * mid**2 + curve.a <= 0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def component_of(backend: Backend, p: GroupPoint) -> bool:
-    """True iff p lies on the identity component."""
+    """True iff p lies on the identity component.
+
+    With two components the cubic has roots e1 < e2 < e3, the oval is
+    x in [e1, e2] and the identity branch x >= e3.  Three real roots force
+    a < 0, and the cubic's local minimum t = sqrt(-a/3) lies strictly
+    between e2 and e3, so x > t, that is x > 0 and 3x^2 + a > 0, decides
+    the branch exactly."""
     _require_on_variety(backend, p)
     if is_identity(p):
         return True
     if isinstance(backend, Circle) or real_components(backend) == 1:
         return True
-    return p.x > unbounded_branch_separator(backend)
+    return p.x > 0 and 3 * p.x**2 + backend.a > 0
 
 
 # -- torsion -------------------------------------------------------------------

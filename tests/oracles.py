@@ -10,15 +10,21 @@ division values; the independence audit tests every sum of its box against
 the full torsion subgroup, with no screen mod a prime.  Matrix products
 and Bareiss determinants check the Smith transforms, and character images
 k1*t1 + ... + kn*tn summed by the group law check coordinate membership.
+On a two-component curve the identity branch is told from the oval by a
+rational point of the gap between them, found by bisection until the cubic
+is negative, not by the closed-form x^2 > -a/3 test.
 """
 
 import math
+
+from fractions import Fraction
 
 from mordell.fg_group import _span, shell
 from mordell.group_core import (
     IDENTITY,
     _add_raw,
     add,
+    discriminant_term,
     enumerate_rational_points,
     is_identity,
     negate,
@@ -224,3 +230,30 @@ def audit_by_torsion_set(backend, generators, audit_bound: int = 8):
                 rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
                 return f"free generators fail the independence audit: {rel} is torsion"
     return None
+
+
+def unbounded_branch_separator(curve) -> Fraction | None:
+    """A rational c strictly between the two largest real roots of the
+    cubic, or None when there is a single real root.
+
+    With roots e1 < e2 < e3 the curve's real points split into the bounded
+    oval (x in [e1, e2]) and the unbounded identity branch (x >= e3), so
+    comparing x against c classifies every point exactly.  Found by
+    bisecting toward the local minimum of the cubic at sqrt(-a/3), where
+    the cubic is strictly negative; only rational arithmetic is used.
+    """
+    if discriminant_term(curve) > 0:
+        return None
+    # three distinct real roots force a < 0, so the local minimum is at
+    # t = sqrt(-a/3) > 0 and lies strictly between e2 and e3
+    lo = Fraction(0)
+    hi = 1 + max(Fraction(0), -curve.a / 3)
+    while True:
+        mid = (lo + hi) / 2
+        if mid**3 + curve.a * mid + curve.b < 0:
+            # mid >= 0 and cubic negative puts mid strictly inside (e2, e3)
+            return mid
+        if 3 * mid**2 + curve.a <= 0:
+            lo = mid
+        else:
+            hi = mid

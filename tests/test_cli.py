@@ -296,7 +296,8 @@ def test_decompose_undecided(spec_dir, capsys):
             0,
             "undecided(bound=10)\n",
         ),
-        # coset member and axioms decompose under the same ceiling
+        # coset member and axioms decompose under the same ceiling; at
+        # height 3 the enumeration of 3 * 7 = 21 candidates fits it
         (
             "m2-2p.json",
             ["coset", "member", "--char", "1", "--exponent", "2", "(3, 5)", "--bound", "12",
@@ -313,7 +314,7 @@ def test_decompose_undecided(spec_dir, capsys):
         ),
         (
             "m2-2p.json",
-            ["axioms", "--n-max", "2", "--height", "30", "--bound", "12", "--ceiling", "21"],
+            ["axioms", "--n-max", "2", "--height", "3", "--bound", "12", "--ceiling", "21"],
             3,
             "",
         ),
@@ -610,6 +611,12 @@ def test_ceiling_flag_is_honored(spec_dir, capsys):
          "error: quotient of size 2000000 exceeds ceiling 1000000"),
         (["coset", "dke", "--char", "1,1", "--exponent", "10000"],
          "error: residue enumeration of size 100000000 exceeds ceiling 1000000"),
+        # height * (2 * height + 1) enumeration candidates, refused before
+        # the first one is tried
+        (["axioms", "--n-max", "2", "--height", "30", "--bound", "12", "--ceiling", "21"],
+         "error: point enumeration of size 1830 exceeds ceiling 21"),
+        (["axioms", "--n-max", "1", "--height", "3000", "--ceiling", "10"],
+         "error: point enumeration of size 18003000 exceeds ceiling 10"),
     ],
 )
 def test_ceiling_error_names_what_it_refused(args, line, spec_dir, capsys):
@@ -643,6 +650,44 @@ def test_box_searches_obey_ceiling(args, ceiling, spec_dir, capsys):
     assert rc == 0
 
 
+# -- axioms records -------------------------------------------------------------------
+
+
+def _axioms_record(capsys, spec, args):
+    rc, out, err = run_cli(capsys, ["axioms", *args, "--spec", spec, "--machine", "--no-cache"])
+    assert (rc, err) == (0, "")
+    return json.loads(out)
+
+
+def test_axioms_purity_witnesses_lie_outside_the_subgroup(spec_dir, capsys):
+    # P = (3, 5) is not in <2P>, but 2 * (+-P) is
+    rec = _axioms_record(capsys, str(spec_dir / "m2-2p.json"), ["--n-max", "2", "--height", "30"])
+    assert [c["purity"] for c in rec["checks"]] == [[], ["(3, -5)", "(3, 5)"]]
+    assert "evidence" in rec["note"]
+
+
+def test_axioms_quotient_sizes(spec_dir, capsys):
+    rec = _axioms_record(capsys, str(spec_dir / "m2.json"), ["--n-max", "3", "--height", "30"])
+    assert [c["quotient_size"] for c in rec["checks"]] == [1, 2, 3]
+    assert [c["purity"] for c in rec["checks"]] == [[], [], []]
+
+
+def test_axioms_density_flags_thin_subgroups(spec_dir, capsys):
+    args = ["--n-max", "1", "--height", "100", "--lo", "-10", "--hi", "10", "--bins", "10",
+            "--bound", "4"]
+    rec = _axioms_record(capsys, str(spec_dir / "c01.json"), args)
+    assert rec["density"]["low_coverage"] is True
+
+
+def test_axioms_density_counts_the_identity_component_only(spec_file, capsys):
+    # y^2 = x^3 - 36x has its oval over [-6, 0]: P = (-3, 9) lies on it and
+    # 2P = (25/4, -35/8) on the identity branch, so only +-2P are counted
+    path = spec_file({"kind": "curve", "a": "-36", "b": "0", "generators": [["-3", "9"]]})
+    args = ["--n-max", "1", "--height", "100", "--lo", "-10", "--hi", "20", "--bins", "6"]
+    density = _axioms_record(capsys, path, args)["density"]
+    assert (density["points_seen"], density["hit_bins"]) == (2, 1)
+
+
 # -- cache behaviour ----------------------------------------------------------------
 
 AXIOMS = ["axioms", "--n-max", "2", "--height", "30"]
@@ -666,11 +711,11 @@ def test_cache_cold_warm_and_off_agree(spec_dir, tmp_path, capsys):
     assert cold == (GOLDEN / "axioms.human.txt").read_text()
 
 
-def test_cache_env_var_location(spec_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MORDELL_CACHE_DIR", str(tmp_path / "envcache"))
+def test_cache_default_location(spec_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOME", str(tmp_path))
     rc, out, _ = run_cli(capsys, _axioms_argv(spec_dir, []))
     assert rc == 0
-    assert list((tmp_path / "envcache").glob("points-*.json"))
+    assert list((tmp_path / ".cache" / "mordell").glob("points-*.json"))
     assert out == (GOLDEN / "axioms.human.txt").read_text()
 
 
@@ -713,6 +758,24 @@ def test_stale_format_version_is_ignored(spec_dir, tmp_path, capsys):
     assert json.loads(path.read_text())["format_version"] == cli.CACHE_FORMAT_VERSION
 
 
+@pytest.mark.parametrize(
+    "args,line",
+    [
+        (["--n-max", "0"], "error: nMax must be >= 1"),
+        (["--lo", "5", "--hi", "1"], "error: sample grid needs lo < hi and bins >= 1"),
+        (["--height", "-1000"], "error: height bound must be >= 0"),
+    ],
+)
+def test_axioms_rejects_bad_input_before_enumerating(args, line, spec_dir, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("axioms enumerated points for invalid input")
+
+    monkeypatch.setattr(cli, "cached_rational_points", refuse)
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", ["axioms", *args], ["--no-cache"]))
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [line]
+
+
 def test_axioms_refuses_bins_before_enumerating(spec_dir, tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("axioms enumerated points for a refused bin count")
@@ -728,10 +791,10 @@ def test_axioms_refuses_bins_before_enumerating(spec_dir, tmp_path, monkeypatch,
 
 
 def test_no_cache_leaves_no_files(spec_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MORDELL_CACHE_DIR", str(tmp_path / "envcache"))
+    monkeypatch.setenv("HOME", str(tmp_path))
     rc, _, _ = run_cli(capsys, _axioms_argv(spec_dir, ["--no-cache"]))
     assert rc == 0
-    assert not (tmp_path / "envcache").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- process-level entry point ------------------------------------------------------

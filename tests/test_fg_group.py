@@ -15,7 +15,6 @@ from mordell.group_core import (
     IDENTITY,
     Circle,
     add,
-    enumerate_rational_points,
     format_point,
     make_curve,
     negate,
@@ -354,31 +353,3 @@ def test_projection_density(gamma_p):
 def test_histogram_edges_exact(gamma_p):
     hist = gamma_p.projection_density(Fraction(0), Fraction(1), 150, 3)
     assert hist.edges() == [Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]
-
-
-def test_axioms_report_purity(gamma_2p, curve_m2):
-    report = gamma_2p.check_axioms_bounded(
-        2, 30, (Fraction(-4), Fraction(4), 8), enumerate_rational_points(curve_m2, 30), bound=16
-    )
-    finds = [f for c in report.checks for f in c.purity_findings]
-    witnesses = {format_point(f.witness) for f in finds}
-    assert witnesses == {"(3, -5)", "(3, 5)"}
-    assert all(f.n == 2 for f in finds)
-    assert "evidence" in report.note
-
-
-def test_axioms_report_quotients(gamma_p):
-    report = gamma_p.check_axioms_bounded(
-        3, 30, (Fraction(-4), Fraction(4), 8), enumerate_rational_points(gamma_p.backend, 30),
-        bound=16,
-    )
-    assert [c.quotient_size for c in report.checks] == [1, 2, 3]
-    assert not any(c.purity_findings for c in report.checks)
-
-
-def test_axioms_density_flags_thin_subgroups(gamma_torsion):
-    report = gamma_torsion.check_axioms_bounded(
-        1, 100, (Fraction(-10), Fraction(10), 10),
-        enumerate_rational_points(gamma_torsion.backend, 100), bound=4,
-    )
-    assert report.density.low_coverage is True

@@ -31,7 +31,12 @@ from mordell.group_core import (
     torsion_subgroup,
 )
 
-from .oracles import brute_point_order, brute_torsion_points, double_and_add_mul
+from .oracles import (
+    brute_point_order,
+    brute_torsion_points,
+    double_and_add_mul,
+    unbounded_branch_separator,
+)
 
 
 def test_singular_curve_rejected():
@@ -238,6 +243,31 @@ def test_component_of():
     assert component_of(c, IDENTITY) is True
     one_piece = make_curve(0, -2)
     assert component_of(one_piece, point(one_piece, 3, 5)) is True
+
+
+@st.composite
+def _two_component_point(draw):
+    """A curve with two real components and a point on it: integral a, b
+    and point, then optionally moved to rational a and b by
+    (x, y) -> (t^2 x, t^3 y), which keeps the order of the x-coordinates."""
+    a = draw(st.integers(-40, -1))
+    x = draw(st.integers(-6, 6))
+    y = draw(st.integers(0, 14))
+    b = y * y - x**3 - a * x
+    assume(4 * a**3 + 27 * b * b < 0)
+    t = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    curve = make_curve(a * t**4, b * t**6)
+    return curve, point(curve, x * t**2, y * t**3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_component_point())
+def test_component_of_matches_the_separator_oracle(case):
+    curve, p = case
+    sep = unbounded_branch_separator(curve)
+    # doubling moves an oval point onto the identity branch, tripling keeps it
+    for q in [p, scalar_mul(curve, 2, p), scalar_mul(curve, 3, p)] + enumerate_rational_points(curve, 12):
+        assert component_of(curve, q) is (is_identity(q) or q.x > sep)
 
 
 def test_point_order(curve_01, curve_m2):
