@@ -11,7 +11,8 @@ canonical strings ("129/100", "-3", "0"), the same form the outputs use.
 Flags go after the final subcommand: mordell point add P Q --spec f.json.
 
 Exit codes: 0 success, 2 invalid input (bad spec file, off-variety point,
-malformed formula, a rational literal over the int digit limit), 3 resource
+malformed formula, a rational literal over the int digit limit, a --cache-dir
+that cannot be written), 3 resource
 ceiling (a quotient or residue enumeration, a coefficient box search, a
 decompose shell, a histogram's bin count or the rational point enumeration
 of axioms, height * (2 * height + 1) candidates, would exceed the configured
@@ -29,12 +30,11 @@ grid coverage of the identity component by Gamma's points of height <=
 --height (density), the variety's rational points q of that height with n*q
 in Gamma but q undecided (purity), and the sizes of Gamma/n*Gamma.
 
-Enumerated rational point lists are cached under --cache-dir (default
-~/.cache/mordell), keyed by backend fingerprint
-and height bound.  Cache files carry a format version and every loaded
-point is re-validated against the variety equation; anything stale is
-recomputed.  --no-cache disables reads and writes.  Output is identical
-with the cache on or off.
+With --cache-dir DIR (and no --no-cache), axioms keeps its enumerated
+rational points in DIR, one file per backend and height bound; without it
+nothing is cached.  A file whose key (format version, backend, height
+bound) differs, that does not parse, or that holds a point off the variety
+is a miss and is rewritten.  Output is identical with the cache on or off.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .formula_eval import (
 from .group_core import (
     Circle,
     Curve,
-    IDENTITY,
     add,
     component_of,
     discriminant_term,
@@ -86,22 +85,30 @@ from .group_core import (
 from .ml_checker import Inconclusive, MLDecomposition, Verified
 
 DEFAULT_HEIGHT_BOUND = 100
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
-# -- group spec files ---------------------------------------------------------------
+# -- input files --------------------------------------------------------------------
+
+
+def _json_input(text: str, what: str):
+    """json.loads for the spec, a decomposition or a cache file: bad syntax,
+    an integer past the digit limit or too deep a nesting is an InputError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"{what} is not valid JSON: {exc}")
+
 
 _SPEC_KEYS = {"kind", "a", "b", "generators", "rank", "label"}
 
 
 def load_group_spec(path: str, ceiling: int = DEFAULT_QUOTIENT_CEILING) -> GammaSpec:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"spec file {path} is not valid JSON: {exc}")
+    raw = _json_input(text, f"spec file {path}")
     if not isinstance(raw, dict):
         raise InputError("spec file must hold a JSON object")
     unknown = sorted(set(raw) - _SPEC_KEYS)
@@ -149,78 +156,50 @@ def _spec_rational(value, what: str) -> Fraction:
 # -- point cache --------------------------------------------------------------------
 
 
-def backend_fingerprint(backend) -> str:
-    if isinstance(backend, Curve):
-        return f"curve a={backend.a} b={backend.b}"
-    return "circle"
-
-
 class PointCache:
-    """Enumerated rational points keyed by (backend fingerprint, height bound).
-
-    root=None disables both reads and writes.  Writes go through a temp
-    file and os.replace so readers never see a torn file.
-    """
+    """Enumerated rational points, one file per (backend, height bound),
+    holding its key string and the points as format_point prints them.
+    root=None turns the cache off.  Writes go through a temp file and
+    os.replace, so readers never see a torn file."""
 
     def __init__(self, root: Path | None):
         self.root = root
 
-    def _path(self, backend, height_bound: int) -> Path:
-        key = f"{backend_fingerprint(backend)}|h={height_bound}"
+    def _key_path(self, backend, height_bound: int) -> tuple[str, Path]:
+        key = f"v{CACHE_FORMAT_VERSION} {backend!r} h={height_bound}"
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
-        return self.root / f"points-{digest}.json"
+        return key, self.root / f"points-{digest}.json"
 
     def load(self, backend, height_bound: int):
         if self.root is None:
             return None
-        path = self._path(backend, height_bound)
+        key, path = self._key_path(backend, height_bound)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            raw = _json_input(path.read_text(encoding="utf-8"), f"cache file {path}")
+        except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
             return None
-        if not isinstance(raw, dict):
+        entries = raw.get("points") if isinstance(raw, dict) and raw.get("key") == key else None
+        if not (isinstance(entries, list) and all(isinstance(t, str) for t in entries)):
             return None
-        if raw.get("format_version") != CACHE_FORMAT_VERSION:
+        try:
+            # parse_point re-checks the variety: one bad entry is a miss
+            return [parse_point(backend, text) for text in entries]
+        except InputError:
             return None
-        if raw.get("fingerprint") != backend_fingerprint(backend):
-            return None
-        if raw.get("height_bound") != height_bound:
-            return None
-        entries = raw.get("points")
-        if not isinstance(entries, list):
-            return None
-        points = []
-        for item in entries:
-            if item == "O":
-                points.append(IDENTITY)
-                continue
-            if not (isinstance(item, list) and len(item) == 2):
-                return None
-            try:
-                # point() re-checks the variety equation; a stale or
-                # corrupted entry invalidates the whole file
-                points.append(point(backend, parse_rational(item[0]), parse_rational(item[1])))
-            except (InputError, TypeError):
-                return None
-        return points
 
     def store(self, backend, height_bound: int, points) -> None:
         if self.root is None:
             return
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "fingerprint": backend_fingerprint(backend),
-            "height_bound": height_bound,
-            "points": [
-                "O" if is_identity(p) else [format_rational(p.x), format_rational(p.y)]
-                for p in points
-            ],
-        }
-        path = self._path(backend, height_bound)
+        key, path = self._key_path(backend, height_bound)
         tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps({"key": key, "points": _printed(points)}), encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError as exc:
+            if tmp.exists():
+                tmp.unlink()
+            raise InputError(f"cannot write the point cache in {self.root}: {exc}")
 
 
 def cached_rational_points(cache: PointCache, backend, height_bound: int):
@@ -230,14 +209,6 @@ def cached_rational_points(cache: PointCache, backend, height_bound: int):
     points = enumerate_rational_points(backend, height_bound)
     cache.store(backend, height_bound, points)
     return points
-
-
-def _resolve_cache_dir(args) -> Path | None:
-    if args.no_cache:
-        return None
-    if args.cache_dir is not None:
-        return Path(args.cache_dir)
-    return Path.home() / ".cache" / "mordell"
 
 
 # -- record pieces ------------------------------------------------------------------
@@ -434,15 +405,10 @@ def cmd_ml(args, gamma: GammaSpec) -> dict:
 def _read_decomposition(text: str) -> MLDecomposition:
     if text.startswith("@"):
         try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
+            text = Path(text[1:]).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read decomposition file: {exc}")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"decomposition is not valid JSON: {exc}")
-    return decomposition_from_json(obj)
+    return decomposition_from_json(_json_input(text, "decomposition"))
 
 
 def cmd_eval(args, gamma: GammaSpec) -> dict:
@@ -505,7 +471,8 @@ def cmd_axioms(args, gamma: GammaSpec) -> dict:
     gamma.check_ceiling(args.bins, "histogram")
     gamma.check_ceiling(args.height * (2 * args.height + 1), "point enumeration")
     backend = gamma.backend
-    points = cached_rational_points(PointCache(_resolve_cache_dir(args)), backend, args.height)
+    root = None if args.no_cache or not args.cache_dir else Path(args.cache_dir)
+    points = cached_rational_points(PointCache(root), backend, args.height)
     seen = [
         p
         for _, p in gamma.bounded_points(args.height)
@@ -703,11 +670,9 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache-dir",
         default=None,
-        help="point cache directory (default ~/.cache/mordell)",
+        help="keep the points that axioms enumerates in this directory; no cache without it",
     )
-    common.add_argument(
-        "--no-cache", action="store_true", help="disable the point cache"
-    )
+    common.add_argument("--no-cache", action="store_true", help="ignore --cache-dir")
     return common
 
 

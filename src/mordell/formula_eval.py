@@ -221,12 +221,19 @@ class _Node:
         return self.items is None
 
 
-def _read(toks: list[_Tok], pos: int) -> tuple[_Node, int]:
+# every later pass (scan, build, print, evaluate) recurses once or twice per
+# level, so the reader keeps the depth well inside Python's recursion limit
+MAX_NESTING = 200
+
+
+def _read(toks: list[_Tok], pos: int, depth: int = 0) -> tuple[_Node, int]:
     if pos >= len(toks):
         last = toks[-1] if toks else _Tok("", 1, 1)
         raise ParseError("unexpected end of input", last.line, last.col)
     t = toks[pos]
     if t.text == "(":
+        if depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
         items = []
         pos += 1
         while True:
@@ -234,7 +241,7 @@ def _read(toks: list[_Tok], pos: int) -> tuple[_Node, int]:
                 raise ParseError("missing ')'", t.line, t.col)
             if toks[pos].text == ")":
                 return _Node(None, tuple(items), t.line, t.col), pos + 1
-            node, pos = _read(toks, pos)
+            node, pos = _read(toks, pos, depth + 1)
             items.append(node)
     if t.text == ")":
         raise ParseError("unexpected ')'", t.line, t.col)

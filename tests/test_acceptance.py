@@ -267,7 +267,7 @@ def test_c6_round_trips(tmp_path, capsys):
         golden = (GOLDEN / f"{name}.machine.jsonl").read_text()
         base = args + ["--spec", str(spec_dir / spec), "--machine"]
         for extra in (
-            ["--no-cache"],
+            [],  # no cache
             ["--cache-dir", str(cache_dir)],  # cold
             ["--cache-dir", str(cache_dir)],  # warm
         ):

@@ -62,6 +62,15 @@ SPECS = {
     },
 }
 
+# spec files that are not UTF-8, or past the JSON parser's own limits
+RAW_SPECS = {
+    "latin1.json": b'{"label": "\xe9"}',
+    "rank-digits.json": (
+        b'{"kind": "curve", "a": "0", "b": "-2", "generators": [], "rank": %s}' % (b"9" * 5000)
+    ),
+    "nested.json": b"[" * 100_000,
+}
+
 # (0, 0) base with kernels (1, 1) and (1, -1): explains every root of x1 - x3
 DEC_BOTH = json.dumps(
     {
@@ -172,6 +181,8 @@ def spec_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("specs")
     for name, payload in SPECS.items():
         (d / name).write_text(json.dumps(payload), encoding="utf-8")
+    for name, data in RAW_SPECS.items():
+        (d / name).write_bytes(data)
     return d
 
 
@@ -190,7 +201,7 @@ def _argv(spec_dir, spec, args, extra):
 
 @pytest.mark.parametrize("name,spec,args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_human_output_matches_golden(name, spec, args, spec_dir, capsys):
-    rc, out, err = run_cli(capsys, _argv(spec_dir, spec, args, ["--no-cache"]))
+    rc, out, err = run_cli(capsys, _argv(spec_dir, spec, args, []))
     assert rc == 0
     assert err == ""
     assert out == (GOLDEN / f"{name}.human.txt").read_text()
@@ -198,7 +209,7 @@ def test_human_output_matches_golden(name, spec, args, spec_dir, capsys):
 
 @pytest.mark.parametrize("name,spec,args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_machine_output_matches_golden(name, spec, args, spec_dir, capsys):
-    rc, out, err = run_cli(capsys, _argv(spec_dir, spec, args, ["--machine", "--no-cache"]))
+    rc, out, err = run_cli(capsys, _argv(spec_dir, spec, args, ["--machine"]))
     assert rc == 0
     assert err == ""
     assert out == (GOLDEN / f"{name}.machine.jsonl").read_text()
@@ -223,7 +234,7 @@ def test_human_text_is_rendered_from_the_record(name):
 def test_point_add_example(spec_dir, capsys):
     rc, out, _ = run_cli(
         capsys,
-        ["point", "add", "(3, 5)", "(3, 5)", "--spec", str(spec_dir / "m2.json"), "--no-cache"],
+        ["point", "add", "(3, 5)", "(3, 5)", "--spec", str(spec_dir / "m2.json")],
     )
     assert rc == 0
     assert out == "(129/100, -383/1000)\n"
@@ -232,7 +243,7 @@ def test_point_add_example(spec_dir, capsys):
 def test_point_mul_to_identity_on_torsion(spec_dir, capsys):
     rc, out, _ = run_cli(
         capsys,
-        ["point", "mul", "6", "(2, 3)", "--spec", str(spec_dir / "c01.json"), "--no-cache"],
+        ["point", "mul", "6", "(2, 3)", "--spec", str(spec_dir / "c01.json")],
     )
     assert rc == 0
     assert out == "O\n"
@@ -248,7 +259,6 @@ def test_eval_negation_of_true_is_false(spec_dir, capsys):
             "3",
             "--spec",
             str(spec_dir / "m2.json"),
-            "--no-cache",
         ],
     )
     assert rc == 0
@@ -260,7 +270,7 @@ def test_curve_info_two_components(spec_file, capsys):
     path = spec_file(
         {"kind": "curve", "a": "-1", "b": "0", "generators": [], "rank": 0}
     )
-    rc, out, _ = run_cli(capsys, ["curve-info", "--spec", path, "--no-cache"])
+    rc, out, _ = run_cli(capsys, ["curve-info", "--spec", path])
     assert rc == 0
     assert "components: 2" in out
 
@@ -270,7 +280,7 @@ def test_decompose_undecided(spec_dir, capsys):
     # settle membership either way
     rc, out, _ = run_cli(
         capsys,
-        ["point", "decompose", "(3, 5)", "--spec", str(spec_dir / "m2-2p.json"), "--no-cache"],
+        ["point", "decompose", "(3, 5)", "--spec", str(spec_dir / "m2-2p.json")],
     )
     assert rc == 0
     assert out == "undecided(bound=16)\n"
@@ -321,7 +331,7 @@ def test_decompose_undecided(spec_dir, capsys):
     ],
 )
 def test_decompose_searches_shells_under_ceiling(spec, args, code, out, spec_dir, capsys):
-    rc, got, err = run_cli(capsys, _argv(spec_dir, spec, args, ["--no-cache"]))
+    rc, got, err = run_cli(capsys, _argv(spec_dir, spec, args, []))
     assert (rc, got) == (code, out)
     if code == 3:
         assert err.splitlines() == ["error: decompose shell of size 23 exceeds ceiling 21"]
@@ -342,7 +352,6 @@ def test_ml_verify_decomposition_inline(spec_dir, capsys):
             DEC_BOTH,
             "--spec",
             str(spec_dir / "m2.json"),
-            "--no-cache",
         ],
     )
     assert rc == 0
@@ -364,7 +373,6 @@ def test_ml_verify_counterexample(spec_dir, capsys):
             DEC_DIAGONAL,
             "--spec",
             str(spec_dir / "m2.json"),
-            "--no-cache",
         ],
     )
     assert rc == 0
@@ -372,7 +380,7 @@ def test_ml_verify_counterexample(spec_dir, capsys):
 
 
 def test_suggest_verify_round_trip(spec_dir, capsys, tmp_path):
-    base = ["--spec", str(spec_dir / "m2.json"), "--no-cache"]
+    base = ["--spec", str(spec_dir / "m2.json")]
     rc, out, _ = run_cli(
         capsys,
         ["ml", "suggest", "(- x2 x4)", "--slots", "2", "--bound", "3", "--machine"] + base,
@@ -395,10 +403,20 @@ def test_suggest_verify_round_trip(spec_dir, capsys, tmp_path):
     assert out2 == out
 
 
+def test_unreadable_decomposition_file(spec_dir, capsys, tmp_path):
+    path = tmp_path / "dec.json"
+    path.write_bytes(b'{"pairs": "\xff"}')
+    args = ["ml", "verify", "(- x1 x3)", "--slots", "2", "--decomposition", f"@{path}"]
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, []))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot read decomposition file: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_coset_combine_union(spec_dir, capsys):
     # 2:4 and 3:6 are both the even classes, so their union at the lcm 12 is too
     args = ["coset", "combine", "--op", "union", "2:4", "3:6"]
-    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, ["--machine", "--no-cache"]))
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, ["--machine"]))
     assert (rc, err) == (0, "")
     rec = json.loads(out)
     assert rec["modulus"] == 12
@@ -489,15 +507,46 @@ TEN_2500 = 10**2500
          "complement takes exactly one operand"),
         ("m2.json", ["coset", "combine", "--op", "union", "1:2", "1,1:2"], 2,
          "arity mismatch: 1 vs 2"),
+        # input files from outside the program: bytes that are not UTF-8, an
+        # integer past the int-from-str digit limit, nesting past the JSON
+        # parser's recursion limit
+        ("latin1.json", ["curve-info"], 2, "cannot read spec file"),
+        ("rank-digits.json", ["curve-info"], 2, "is not valid JSON"),
+        ("nested.json", ["curve-info"], 2, "is not valid JSON"),
+        ("m2.json", ["ml", "verify", "(- x1 x3)", "--slots", "2", "--decomposition",
+                     '{"pairs": %s}' % ("9" * 5000)], 2, "decomposition is not valid JSON"),
+        ("m2.json", ["ml", "verify", "(- x1 x3)", "--slots", "2", "--decomposition",
+                     "[" * 50_000], 2, "decomposition is not valid JSON"),
+        # formulas nested past the reader's limit
+        ("m2.json", ["eval", "(and " * 2999 + "(= x1 3)" + ")" * 2999, "--x", "3"], 2,
+         "nesting deeper than 200 levels"),
+        ("m2.json", ["ml", "solve", "(+ " * 3000 + "x1" + " 1)" * 3000, "--slots", "1"], 2,
+         "nesting deeper than 200 levels"),
     ],
 )
 def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
-    rc, out, err = run_cli(capsys, _argv(spec_dir, spec, args, ["--no-cache"]))
+    rc, out, err = run_cli(capsys, _argv(spec_dir, spec, args, []))
     assert rc == code
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert fragment in err
+
+
+def test_formula_nesting_limit(spec_dir, capsys):
+    # 200 levels answer; one more is refused at the opening '(' of level 201
+    formula = "(and " * 199 + "(= x1 3)" + ")" * 199
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", ["eval", formula, "--x", "3"], []))
+    assert (rc, out, err) == (0, "true\n", "")
+    poly = "(+ " * 200 + "x1" + " 1)" * 200
+    args = ["ml", "solve", poly, "--slots", "1", "--bound", "1", "--machine"]
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, []))
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["poly"] == "(+ x1 200)"
+    args = ["eval", f"(and {formula})", "--x", "3"]
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, []))
+    assert (rc, out) == (2, "")
+    assert err == "error: line 1, column 1001: nesting deeper than 200 levels\n"
 
 
 @pytest.mark.parametrize(
@@ -511,7 +560,7 @@ def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
 def test_digit_limit_has_its_own_message(args, digits, spec_dir, capsys):
     # a number too long to print is not a residue enumeration: the message
     # names its digit count and the limit
-    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, ["--no-cache"]))
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, []))
     assert (rc, out) == (3, "")
     assert err == (
         f"error: number of {digits} digits exceeds ceiling 4300, the int-to-str digit limit\n"
@@ -528,7 +577,7 @@ def test_digit_limit_has_its_own_message(args, digits, spec_dir, capsys):
 )
 def test_arity_ceiling_has_its_own_message(args, arity, spec_dir, capsys):
     # a polynomial arity is not a residue enumeration: the message names it
-    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, ["--no-cache"]))
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, []))
     assert (rc, out) == (3, "")
     assert err == (
         f"error: polynomial arity {arity}: an exponent vector of size {arity}"
@@ -556,7 +605,7 @@ def test_argparse_rejection_exits_2(spec_dir, capsys):
     # non-integer multiplier is refused by the argument parser itself
     with pytest.raises(SystemExit) as exc:
         cli.main(
-            ["point", "mul", "two", "(3, 5)", "--spec", str(spec_dir / "m2.json"), "--no-cache"]
+            ["point", "mul", "two", "(3, 5)", "--spec", str(spec_dir / "m2.json")]
         )
     assert exc.value.code == 2
     capsys.readouterr()
@@ -566,14 +615,14 @@ def test_unknown_spec_key_rejected(spec_file, capsys):
     path = spec_file(
         {"kind": "curve", "a": "0", "b": "-2", "coefficients": [1], "generators": [], "rank": 0}
     )
-    rc, out, err = run_cli(capsys, ["curve-info", "--spec", path, "--no-cache"])
+    rc, out, err = run_cli(capsys, ["curve-info", "--spec", path])
     assert rc == 2
     assert "unknown spec file keys: coefficients" in err
 
 
 def test_circle_spec_rejects_curve_coefficients(spec_file, capsys):
     path = spec_file({"kind": "circle", "a": "0", "generators": [], "rank": 0})
-    rc, _, err = run_cli(capsys, ["curve-info", "--spec", path, "--no-cache"])
+    rc, _, err = run_cli(capsys, ["curve-info", "--spec", path])
     assert rc == 2
     assert "circle" in err
 
@@ -588,7 +637,6 @@ def test_ceiling_flag_is_honored(spec_dir, capsys):
         "4",
         "--spec",
         str(spec_dir / "m2.json"),
-        "--no-cache",
     ]
     rc, out, _ = run_cli(capsys, argv)
     assert rc == 0
@@ -622,7 +670,7 @@ def test_ceiling_flag_is_honored(spec_dir, capsys):
 def test_ceiling_error_names_what_it_refused(args, line, spec_dir, capsys):
     # decompose shells and coefficient boxes are named in the two tests
     # that pin their ceilings
-    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, ["--no-cache"]))
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, []))
     assert (rc, out) == (3, "")
     assert err.splitlines() == [line]
 
@@ -641,7 +689,7 @@ def test_ceiling_error_names_what_it_refused(args, line, spec_dir, capsys):
     ],
 )
 def test_box_searches_obey_ceiling(args, ceiling, spec_dir, capsys):
-    argv = args + ["--spec", str(spec_dir / "m2.json"), "--no-cache"]
+    argv = args + ["--spec", str(spec_dir / "m2.json")]
     rc, out, err = run_cli(capsys, argv + ["--ceiling", ceiling])
     assert (rc, out) == (3, "")
     # every row, the suggest window included, refuses a coefficient box
@@ -654,7 +702,7 @@ def test_box_searches_obey_ceiling(args, ceiling, spec_dir, capsys):
 
 
 def _axioms_record(capsys, spec, args):
-    rc, out, err = run_cli(capsys, ["axioms", *args, "--spec", spec, "--machine", "--no-cache"])
+    rc, out, err = run_cli(capsys, ["axioms", *args, "--spec", spec, "--machine"])
     assert (rc, err) == (0, "")
     return json.loads(out)
 
@@ -691,10 +739,27 @@ def test_axioms_density_counts_the_identity_component_only(spec_file, capsys):
 # -- cache behaviour ----------------------------------------------------------------
 
 AXIOMS = ["axioms", "--n-max", "2", "--height", "30"]
+AXIOMS_GOLDEN = (GOLDEN / "axioms.human.txt").read_text()
 
 
 def _axioms_argv(spec_dir, extra):
     return AXIOMS + ["--spec", str(spec_dir / "m2.json")] + extra
+
+
+def _cold_cache_file(spec_dir, cache, capsys):
+    """Run axioms once under --cache-dir cache; return the one file it wrote."""
+    rc, out, _ = run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
+    assert (rc, out) == (0, AXIOMS_GOLDEN)
+    (path,) = cache.glob("points-*.json")
+    return path
+
+
+def _assert_rebuilt(spec_dir, cache, path, original, capsys):
+    """A rerun prints the golden and writes the file afresh, which only a
+    miss does: the cache stores exactly what a cold run stored."""
+    rc, out, err = run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
+    assert (rc, out, err) == (0, AXIOMS_GOLDEN, "")
+    assert path.read_text() == original
 
 
 def test_cache_cold_warm_and_off_agree(spec_dir, tmp_path, capsys):
@@ -705,57 +770,92 @@ def test_cache_cold_warm_and_off_agree(spec_dir, tmp_path, capsys):
     assert len(files) == 1
     rc, warm, _ = run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
     assert rc == 0
-    rc, off, _ = run_cli(capsys, _axioms_argv(spec_dir, ["--no-cache"]))
+    rc, off, _ = run_cli(capsys, _axioms_argv(spec_dir, []))
     assert rc == 0
     assert cold == warm == off
-    assert cold == (GOLDEN / "axioms.human.txt").read_text()
-
-
-def test_cache_default_location(spec_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HOME", str(tmp_path))
-    rc, out, _ = run_cli(capsys, _axioms_argv(spec_dir, []))
-    assert rc == 0
-    assert list((tmp_path / ".cache" / "mordell").glob("points-*.json"))
-    assert out == (GOLDEN / "axioms.human.txt").read_text()
+    assert cold == AXIOMS_GOLDEN
 
 
 def test_corrupt_cache_file_is_discarded(spec_dir, tmp_path, capsys):
     cache = tmp_path / "cache"
-    run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
-    (path,) = cache.glob("points-*.json")
+    path = _cold_cache_file(spec_dir, cache, capsys)
+    original = path.read_text()
     path.write_text("{not json", encoding="utf-8")
-    rc, out, _ = run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
-    assert rc == 0
-    assert out == (GOLDEN / "axioms.human.txt").read_text()
-    assert json.loads(path.read_text())["points"]  # rebuilt in place
+    _assert_rebuilt(spec_dir, cache, path, original, capsys)
 
 
 def test_tampered_cache_points_are_revalidated(spec_dir, tmp_path, capsys):
     cache = tmp_path / "cache"
-    run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
-    (path,) = cache.glob("points-*.json")
-    payload = json.loads(path.read_text())
-    payload["points"] = [["3", "7"] if p == ["3", "5"] else p for p in payload["points"]]
+    path = _cold_cache_file(spec_dir, cache, capsys)
+    original = path.read_text()
+    payload = json.loads(original)
+    assert "(3, 5)" in payload["points"]
+    # (3, 7) is off the variety; parse_point must refuse it on load
+    payload["points"] = ["(3, 7)" if p == "(3, 5)" else p for p in payload["points"]]
     path.write_text(json.dumps(payload), encoding="utf-8")
-    rc, out, _ = run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
-    assert rc == 0
-    assert out == (GOLDEN / "axioms.human.txt").read_text()
-    rebuilt = json.loads(path.read_text())
-    assert ["3", "5"] in rebuilt["points"]
-    assert ["3", "7"] not in rebuilt["points"]
+    _assert_rebuilt(spec_dir, cache, path, original, capsys)
 
 
 def test_stale_format_version_is_ignored(spec_dir, tmp_path, capsys):
+    # the key names the format version, the backend and the height bound;
+    # a file whose key differs in any of them is a miss
     cache = tmp_path / "cache"
-    run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
-    (path,) = cache.glob("points-*.json")
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 0
+    path = _cold_cache_file(spec_dir, cache, capsys)
+    original = path.read_text()
+    payload = json.loads(original)
+    version = f"v{cli.CACHE_FORMAT_VERSION} "
+    assert payload["key"].startswith(version)
+    payload["key"] = "v0 " + payload["key"][len(version):]
     path.write_text(json.dumps(payload), encoding="utf-8")
-    rc, out, _ = run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
-    assert rc == 0
-    assert out == (GOLDEN / "axioms.human.txt").read_text()
-    assert json.loads(path.read_text())["format_version"] == cli.CACHE_FORMAT_VERSION
+    _assert_rebuilt(spec_dir, cache, path, original, capsys)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # a JSON integer past the int-from-str digit limit
+        lambda payload: '{"key": %s, "points": [%s]}' % (json.dumps(payload["key"]), "9" * 5000),
+        # nesting past the JSON parser's recursion limit
+        lambda payload: "[" * 100_000,
+        # an entry that is not a point literal string
+        lambda payload: json.dumps(dict(payload, points=[["3", "5"], *payload["points"]])),
+        # a JSON document that is not an object
+        lambda payload: json.dumps(payload["points"]),
+        # bytes that are not UTF-8
+        lambda payload: "\udcff",
+    ],
+    ids=["digits", "nesting", "non-string-entry", "not-an-object", "not-utf8"],
+)
+def test_unparsable_cache_file_is_a_miss(corrupt, spec_dir, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    path = _cold_cache_file(spec_dir, cache, capsys)
+    original = path.read_text()
+    path.write_bytes(corrupt(json.loads(original)).encode("utf-8", "surrogateescape"))
+    _assert_rebuilt(spec_dir, cache, path, original, capsys)
+
+
+def test_cache_dir_naming_a_file_is_invalid_input(spec_dir, tmp_path, capsys):
+    blocker = tmp_path / "cache"
+    blocker.write_text("", encoding="utf-8")
+    rc, out, err = run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(blocker)]))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write the point cache in {blocker}: ")
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == ""
+
+
+def test_failed_cache_write_leaves_no_temp_file(spec_dir, tmp_path, capsys):
+    # a directory where the cache file goes: the temp file is written, and
+    # os.replace onto the directory fails
+    cache = tmp_path / "cache"
+    path = _cold_cache_file(spec_dir, cache, capsys)
+    path.unlink()
+    path.mkdir()
+    rc, out, err = run_cli(capsys, _axioms_argv(spec_dir, ["--cache-dir", str(cache)]))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write the point cache in {cache}: ")
+    assert len(err.splitlines()) == 1
+    assert [p.name for p in cache.iterdir()] == [path.name]
 
 
 @pytest.mark.parametrize(
@@ -771,7 +871,7 @@ def test_axioms_rejects_bad_input_before_enumerating(args, line, spec_dir, monke
         raise AssertionError("axioms enumerated points for invalid input")
 
     monkeypatch.setattr(cli, "cached_rational_points", refuse)
-    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", ["axioms", *args], ["--no-cache"]))
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", ["axioms", *args], []))
     assert (rc, out) == (2, "")
     assert err.splitlines() == [line]
 
@@ -791,10 +891,13 @@ def test_axioms_refuses_bins_before_enumerating(spec_dir, tmp_path, monkeypatch,
 
 
 def test_no_cache_leaves_no_files(spec_dir, tmp_path, monkeypatch, capsys):
+    # the cache is on only under --cache-dir, and --no-cache overrides even that
     monkeypatch.setenv("HOME", str(tmp_path))
-    rc, _, _ = run_cli(capsys, _axioms_argv(spec_dir, ["--no-cache"]))
-    assert rc == 0
-    assert list(tmp_path.iterdir()) == []
+    cache = tmp_path / "cache"
+    for extra in ([], ["--cache-dir", str(cache), "--no-cache"]):
+        rc, out, _ = run_cli(capsys, _axioms_argv(spec_dir, extra))
+        assert (rc, out) == (0, AXIOMS_GOLDEN)
+        assert list(tmp_path.iterdir()) == []
 
 
 # -- process-level entry point ------------------------------------------------------
@@ -812,7 +915,6 @@ def test_module_entry_point(spec_dir):
             "(3, 5)",
             "--spec",
             str(spec_dir / "m2.json"),
-            "--no-cache",
         ],
         capture_output=True,
         text=True,
@@ -825,7 +927,7 @@ def test_module_entry_point(spec_dir):
 @pytest.mark.skipif(shutil.which("mordell") is None, reason="console script not on PATH")
 def test_console_script(spec_dir):
     proc = subprocess.run(
-        ["mordell", "curve-info", "--spec", str(spec_dir / "m2.json"), "--no-cache"],
+        ["mordell", "curve-info", "--spec", str(spec_dir / "m2.json")],
         capture_output=True,
         text=True,
     )
