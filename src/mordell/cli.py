@@ -12,11 +12,11 @@ Flags go after the final subcommand: mordell point add P Q --spec f.json.
 
 Exit codes: 0 success, 2 invalid input (bad spec file, off-variety point,
 malformed formula, a rational literal over the int digit limit, a --cache-dir
-that cannot be written), 3 resource
-ceiling (a quotient or residue enumeration, a coefficient box search, a
-decompose shell, a histogram's bin count or the rational point enumeration
-of axioms, height * (2 * height + 1) candidates, would exceed the configured
-ceiling, or a number in the answer is too long to print).
+that cannot be written), 3 resource ceiling (a quotient or residue
+enumeration, a coefficient box search, a decompose shell, a histogram's bin
+count or the rational point enumeration of axioms, height * (2 * height + 1)
+candidates, would exceed the configured ceiling, or a number in the answer
+is too long to print).
 
 Each command computes its result once, as one record.  --machine prints
 that record as a line of JSON with fixed field names; field order is part of
@@ -30,11 +30,11 @@ grid coverage of the identity component by Gamma's points of height <=
 --height (density), the variety's rational points q of that height with n*q
 in Gamma but q undecided (purity), and the sizes of Gamma/n*Gamma.
 
-With --cache-dir DIR (and no --no-cache), axioms keeps its enumerated
-rational points in DIR, one file per backend and height bound; without it
-nothing is cached.  A file whose key (format version, backend, height
-bound) differs, that does not parse, or that holds a point off the variety
-is a miss and is rewritten.  Output is identical with the cache on or off.
+With --cache-dir DIR, axioms keeps its enumerated rational points in DIR,
+one file per backend and height bound; without it nothing is cached.  A
+file whose key (format version, backend, height bound) differs, that does
+not parse, or that holds a point off the variety is a miss and is
+rewritten.  Output is identical with the cache on or off.
 """
 
 from __future__ import annotations
@@ -176,15 +176,12 @@ class PointCache:
         key, path = self._key_path(backend, height_bound)
         try:
             raw = _json_input(path.read_text(encoding="utf-8"), f"cache file {path}")
-        except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
-            return None
-        entries = raw.get("points") if isinstance(raw, dict) and raw.get("key") == key else None
-        if not (isinstance(entries, list) and all(isinstance(t, str) for t in entries)):
-            return None
-        try:
+            entries = raw.get("points") if isinstance(raw, dict) and raw.get("key") == key else None
+            if not (isinstance(entries, list) and all(isinstance(t, str) for t in entries)):
+                return None
             # parse_point re-checks the variety: one bad entry is a miss
             return [parse_point(backend, text) for text in entries]
-        except InputError:
+        except (OSError, ValueError):  # unreadable, not UTF-8, not JSON or off the variety
             return None
 
     def store(self, backend, height_bound: int, points) -> None:
@@ -204,10 +201,9 @@ class PointCache:
 
 def cached_rational_points(cache: PointCache, backend, height_bound: int):
     points = cache.load(backend, height_bound)
-    if points is not None:
-        return points
-    points = enumerate_rational_points(backend, height_bound)
-    cache.store(backend, height_bound, points)
+    if points is None:
+        points = enumerate_rational_points(backend, height_bound)
+        cache.store(backend, height_bound, points)
     return points
 
 
@@ -471,8 +467,7 @@ def cmd_axioms(args, gamma: GammaSpec) -> dict:
     gamma.check_ceiling(args.bins, "histogram")
     gamma.check_ceiling(args.height * (2 * args.height + 1), "point enumeration")
     backend = gamma.backend
-    root = None if args.no_cache or not args.cache_dir else Path(args.cache_dir)
-    points = cached_rational_points(PointCache(root), backend, args.height)
+    points = cached_rational_points(PointCache(args.cache_dir), backend, args.height)
     seen = [
         p
         for _, p in gamma.bounded_points(args.height)
@@ -669,10 +664,11 @@ def _common_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cache-dir",
-        default=None,
+        type=Path,
         help="keep the points that axioms enumerates in this directory; no cache without it",
     )
-    common.add_argument("--no-cache", action="store_true", help="ignore --cache-dir")
+    # accepted and ignored, so argv written for the old default cache still parse
+    common.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
     return common
 
 

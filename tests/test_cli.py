@@ -891,13 +891,11 @@ def test_axioms_refuses_bins_before_enumerating(spec_dir, tmp_path, monkeypatch,
 
 
 def test_no_cache_leaves_no_files(spec_dir, tmp_path, monkeypatch, capsys):
-    # the cache is on only under --cache-dir, and --no-cache overrides even that
+    # the cache is on only under --cache-dir: no default location under HOME
     monkeypatch.setenv("HOME", str(tmp_path))
-    cache = tmp_path / "cache"
-    for extra in ([], ["--cache-dir", str(cache), "--no-cache"]):
-        rc, out, _ = run_cli(capsys, _axioms_argv(spec_dir, extra))
-        assert (rc, out) == (0, AXIOMS_GOLDEN)
-        assert list(tmp_path.iterdir()) == []
+    rc, out, _ = run_cli(capsys, _axioms_argv(spec_dir, []))
+    assert (rc, out) == (0, AXIOMS_GOLDEN)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- process-level entry point ------------------------------------------------------
