@@ -164,7 +164,10 @@ class GammaSpec:
             {0: IDENTITY} for _ in self.torsion.generators
         ]
         self._realized: dict[tuple[tuple[int, ...], tuple[int, ...]], GroupPoint] = {}
-        self._index: dict[GroupPoint, Coords] = {}
+        # decompose's reductions, set up by its first call (_start_index), and
+        # its index, grown one shell at a time
+        self._reds: tuple[group_core.Reduction, ...] = ()
+        self._index: dict[tuple[int, int] | None, list[Coords]] = {}
         self._index_bound = -1
         self._audit_free_generators()
 
@@ -178,7 +181,7 @@ class GammaSpec:
         # point that TORSION_EXPONENT kills, so a vector whose reduced sum of
         # k_i*h_i, h_i = TORSION_EXPONENT*g_i, is not the identity has a sum
         # of infinite order.  Only the rare survivors are summed exactly.
-        red = good_reduction(self.backend, self.free_gens)
+        red = next(good_reduction(self.backend, self.free_gens))
         b = self.audit_bound
         mults = []
         for g in self.free_gens:
@@ -311,31 +314,81 @@ class GammaSpec:
 
     # -- decompose and friends ----------------------------------------------------
 
+    def _reduce(self, red: group_core.Reduction, coords: Coords):
+        """realize(coords) reduced at red, from the reduced generators."""
+        s = None
+        for g, k in zip(self.free_gens + self.torsion.generators, coords.free + coords.torsion):
+            s = red.add(s, red.mul(k, red.point(g)))
+        return s
+
+    def _start_index(self) -> None:
+        """The reductions mod the first two good primes, a table of reduced
+        multiples per free generator and the reduced sum of each torsion
+        residue vector."""
+        self._reds = tuple(itertools.islice(good_reduction(self.backend, self.free_gens), 2))
+        red = self._reds[0]
+        self._red_free = []
+        for g in self.free_gens:
+            h = red.point(g)
+            self._red_free.append({0: None, 1: h, -1: red.mul(-1, h)})
+        zero = (0,) * self.rank
+        self._red_tors = [
+            (t, self._reduce(red, Coords(zero, t)))
+            for t in itertools.product(*(range(d) for d in self.torsion_factors))
+        ]
+
+    def _index_shell(self, m: int) -> None:
+        """File every coords of shell m under its reduced sum, in shell order."""
+        red = self._reds[0]
+        if m > 1:
+            for t in self._red_free:
+                t[m] = red.add(t[m - 1], t[1])
+                t[-m] = red.mul(-1, t[m])
+        for free in shell(self.rank, m):
+            s = None
+            for t, k in zip(self._red_free, free):
+                s = red.add(s, t[k])
+            for tors, r in self._red_tors:
+                self._index.setdefault(red.add(s, r), []).append(Coords(free, tors))
+        self._index_bound = m
+
     def decompose(self, p: GroupPoint, bound: int = DEFAULT_COEFF_BOUND) -> Coords | Undecided:
         """Find coords realizing p with all |free coefficients| <= bound, by
         shell search; Undecided(bound) when the box is exhausted.
 
-        The point index grows one shell at a time (_index_bound is the last
-        shell fully indexed) and the search stops at the first shell that
-        holds p.  Shells ascend and the first coords seen are kept, so the
-        answer is the minimal-norm representative.  Indexing a shell m whose
-        box (2m+1)^rank * |torsion| exceeds the ceiling raises
-        QuotientCeilingError; a hit in a lower shell is still answered."""
+        The index files coords by their reduction mod a good prime ell1
+        (reduction is a homomorphism, so the coords of p file under p mod
+        ell1).  It grows one shell at a time (_index_bound is the last shell
+        fully indexed) and the search stops at the first shell that holds p.
+        Only the coords filed under p mod ell1 are tried: mod a second good
+        prime, then exactly with realize.  Shells ascend and the first coords
+        that pass are kept, so the answer is the minimal-norm representative.
+        Indexing a shell m whose box (2m+1)^rank * |torsion| exceeds the
+        ceiling raises QuotientCeilingError; a hit in a lower shell is still
+        answered."""
         if bound < 0:
             raise InputError("coefficient bound must be >= 0")
         group_core._require_on_variety(self.backend, p)
-        found = self._index.get(p)
+        if not self._reds:
+            self._start_index()
+        key, key2 = (red.point(p) for red in self._reds)
         # with no free generators every shell past 0 is empty
         last = bound if self.rank else 0
-        while found is None and self._index_bound < last:
+        tried = 0
+        while True:
+            bucket = self._index.get(key, [])
+            found = next(
+                (c for c in bucket[tried:] if self._reduce(self._reds[1], c) == key2 and self.realize(c) == p),
+                None,
+            )
+            tried = len(bucket)
+            if found is not None or self._index_bound >= last:
+                break
             m = self._index_bound + 1
             self.check_ceiling(
                 (2 * m + 1) ** self.rank * math.prod(self.torsion_factors), "decompose shell"
             )
-            for c in self.shell_coords(m):
-                self._index.setdefault(self.realize(c), c)
-            self._index_bound = m
-            found = self._index.get(p)
+            self._index_shell(m)
         if found is not None and found.max_norm() <= bound:
             return found
         return Undecided(bound)
@@ -460,13 +513,18 @@ def shell(rank: int, m: int) -> Iterator[tuple[int, ...]]:
         if m == 0:
             yield ()
         return
-    for c in range(-m, m + 1):
-        if abs(c) == m:
-            rest = itertools.product(range(-m, m + 1), repeat=rank - 1)
-        else:
-            rest = shell(rank - 1, m)
-        for tail in rest:
-            yield (c, *tail)
+
+    def face(c):
+        return ((c, *tail) for tail in itertools.product(range(-m, m + 1), repeat=rank - 1))
+
+    yield from face(-m)
+    if m == 0:
+        return
+    if rank > 1:
+        # the vectors off both faces; rank 1 has none and scans nothing
+        for c in range(1 - m, m):
+            yield from ((c, *tail) for tail in shell(rank - 1, m))
+    yield from face(m)
 
 
 def _span(backend: Backend, gens: Sequence[GroupPoint]) -> list[GroupPoint]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import InputError
 from .exact_num import _as_fraction, coprime_fraction, format_rational, parse_rational
@@ -419,10 +419,11 @@ TORSION_EXPONENT = 27720
 class Reduction:
     """The group law mod a prime ell of good reduction, on the integral model.
 
-    Reduction is a homomorphism there, so a point of order n reduces to one
-    whose order divides n.  A reduced point is a pair of residues; None is
-    the identity.  point() needs a coordinate denominator prime to ell, as
-    good_reduction guarantees for the points it was given."""
+    Reduction is a homomorphism there (Silverman VII.3), so a point of order
+    n reduces to one whose order divides n.  A reduced point is a pair of
+    residues; None is the identity.  point() maps a curve point whose
+    integral-model x-denominator ell divides to None: it lies in the kernel
+    of reduction."""
 
     backend: Backend
     ell: int
@@ -434,6 +435,8 @@ class Reduction:
             return None
         x, y = p.x * self.u**2, p.y * self.u**3
         ell = self.ell
+        if x.denominator % ell == 0:
+            return None
         r = (
             x.numerator * pow(x.denominator, -1, ell) % ell,
             y.numerator * pow(y.denominator, -1, ell) % ell,
@@ -474,22 +477,29 @@ class Reduction:
         return acc
 
 
-def good_reduction(backend: Backend, points: Sequence[GroupPoint]) -> Reduction:
-    """Reduction mod the first prime ell >= 10007 that divides neither
-    6(4a'^3 + 27b'^2) of the integral model nor any coordinate denominator
-    of points there."""
+def good_reduction(
+    backend: Backend, points: Sequence[GroupPoint] = (), start: int = 10007
+) -> Iterator[Reduction]:
+    """Reductions mod the successive primes ell >= start, ell = 3 (mod 4),
+    that divide neither 6(4a'^3 + 27b'^2) of the integral model nor any
+    coordinate denominator of points there.
+
+    No primitive Pythagorean denominator has a prime factor = 3 (mod 4), so
+    no circle point meets ell in a denominator; a curve point that does
+    reduces to the identity (Reduction.point)."""
     if isinstance(backend, Curve):
         u, a, b = _integral_model(backend)
         bad = 6 * (4 * a**3 + 27 * b**2)
     else:
-        u, a, bad = 1, 0, 2
+        u, a, bad = 1, 0, 1
     for p in points:
         if not is_identity(p):
             bad *= (p.x * u**2).denominator * (p.y * u**3).denominator
-    ell = 10007
-    while bad % ell == 0 or any(ell % d == 0 for d in range(3, math.isqrt(ell) + 1, 2)):
-        ell += 2
-    return Reduction(backend, ell, u, a % ell)
+    ell = start + (3 - start) % 4
+    while True:
+        if bad % ell and all(ell % d for d in range(3, math.isqrt(ell) + 1, 2)):
+            yield Reduction(backend, ell, u, a % ell)
+        ell += 4
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ once over an enumerated point list and once over the classical integral
 candidates (y = 0 or y^2 dividing the discriminant term); multiples k*P
 come from binary double-and-add over the chord-tangent law, not from
 division values; the independence audit tests every sum of its box against
-the full torsion subgroup, with no screen mod a prime.  Matrix products
-and Bareiss determinants check the Smith transforms, and character images
-k1*t1 + ... + kn*tn summed by the group law check coordinate membership.
+the full torsion subgroup, with no screen mod a prime; decompose is an
+exact shell search that realizes every coefficient vector in turn, with no
+index mod a prime.  Matrix products and Bareiss determinants check the
+Smith transforms, and character images k1*t1 + ... + kn*tn summed by the
+group law check coordinate membership.
 On a two-component curve the identity branch is told from the oval by a
 rational point of the gap between them, found by bisection until the cubic
 is negative, not by the closed-form x^2 > -a/3 test.
@@ -19,7 +21,7 @@ import math
 
 from fractions import Fraction
 
-from mordell.fg_group import _span, shell
+from mordell.fg_group import Undecided, _span, shell
 from mordell.group_core import (
     IDENTITY,
     _add_raw,
@@ -230,6 +232,15 @@ def audit_by_torsion_set(backend, generators, audit_bound: int = 8):
                 rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
                 return f"free generators fail the independence audit: {rel} is torsion"
     return None
+
+
+def shell_search_decompose(gamma, p, bound: int):
+    """decompose by exact shell search: the first coords in canonical order
+    (free max-norm shells ascending) that realize p, or Undecided(bound)."""
+    for c in gamma.iter_coords(bound):
+        if gamma.realize(c) == p:
+            return c
+    return Undecided(bound)
 
 
 def unbounded_branch_separator(curve) -> Fraction | None:

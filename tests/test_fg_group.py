@@ -1,5 +1,8 @@
 import itertools
+import time
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +13,13 @@ from mordell.errors import (
     QuotientCeilingError,
     SpecValidationError,
 )
-from mordell.fg_group import Coords, GammaSpec, Undecided
+from mordell import fg_group, group_core
+from mordell.fg_group import Coords, GammaSpec, Undecided, shell
 from mordell.group_core import (
     IDENTITY,
     Circle,
     add,
+    enumerate_rational_points,
     format_point,
     make_curve,
     negate,
@@ -22,7 +27,7 @@ from mordell.group_core import (
     scalar_mul,
 )
 
-from .oracles import audit_by_torsion_set
+from .oracles import audit_by_torsion_set, shell_search_decompose
 
 
 def test_generator_split_and_rank(gamma_p, gamma_torsion, gamma_circle):
@@ -155,6 +160,71 @@ def test_decompose_ceiling_applies_to_shells_searched(curve_m2):
     with pytest.raises(QuotientCeilingError):
         gamma.decompose(p, bound=300)
     assert gamma._index_bound == 10
+
+
+def test_decompose_excluded_point_at_a_large_bound(curve_m2):
+    # (3, 5) is not in <2P>: every one of its 200001 coords is indexed mod a
+    # prime and none is realized, where the exact shell search would build
+    # points of millions of digits
+    g = point(curve_m2, Fraction(129, 100), Fraction(-383, 1000))
+    t0 = time.perf_counter()
+    assert GammaSpec(curve_m2, [g]).decompose(point(curve_m2, 3, 5), 100000) == Undecided(100000)
+    assert time.perf_counter() - t0 < 10.0
+
+
+def _decompose_groups():
+    m2, c17, c36, circle = make_curve(0, -2), make_curve(0, 17), make_curve(-36, 0), Circle()
+    return {
+        "m2": (m2, [point(m2, 3, 5)]),
+        "m2-2p": (m2, [point(m2, Fraction(129, 100), Fraction(-383, 1000))]),
+        "c17": (c17, [point(c17, -2, 3), point(c17, -1, 4)]),
+        "circ": (circle, [point(circle, Fraction(3, 5), Fraction(4, 5)), point(circle, 0, 1)]),
+        # rank 1 with torsion Z/2 x Z/2
+        "c36": (c36, [point(c36, -3, 9), point(c36, 0, 0), point(c36, 6, 0)]),
+    }
+
+
+_DECOMPOSE_GROUPS = _decompose_groups()
+_NON_MEMBERS = {name: enumerate_rational_points(b, 60) for name, (b, _) in _DECOMPOSE_GROUPS.items()}
+# one spec per group kept across draws, so its index meets bounds that grow
+# and shrink
+_REUSED = {name: GammaSpec(b, gens) for name, (b, gens) in _DECOMPOSE_GROUPS.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_DECOMPOSE_GROUPS)),
+    st.sampled_from(["fresh", "reused", "small primes"]),
+    st.integers(0, 6),
+    st.data(),
+)
+def test_decompose_matches_shell_search(name, mode, bound, data):
+    backend, gens = _DECOMPOSE_GROUPS[name]
+    gamma = _REUSED[name] if mode == "reused" else GammaSpec(backend, gens)
+    if data.draw(st.booleans(), label="member"):
+        free = tuple(data.draw(st.integers(-8, 8)) for _ in range(gamma.rank))
+        tors = tuple(data.draw(st.integers(0, d - 1)) for d in gamma.torsion_factors)
+        p = gamma.realize(Coords(free, tors))
+    else:
+        p = data.draw(st.sampled_from(_NON_MEMBERS[name]))
+    if mode == "small primes":
+        # tiny fields file many coords under one point, so the second prime
+        # and the exact check decide
+        start = data.draw(st.integers(3, 50), label="start")
+        with mock.patch.object(fg_group, "good_reduction", partial(group_core.good_reduction, start=start)):
+            got = GammaSpec(backend, gens).decompose(p, bound)
+    else:
+        got = gamma.decompose(p, bound)
+    assert got == shell_search_decompose(GammaSpec(backend, gens), p, bound)
+
+
+def test_shell_rank_one_and_generic_form():
+    assert list(shell(1, 0)) == [(0,)]
+    assert list(shell(1, 7)) == [(-7,), (7,)]
+    for rank in range(1, 4):
+        for m in range(7):
+            box = itertools.product(range(-m, m + 1), repeat=rank)
+            assert list(shell(rank, m)) == [v for v in box if max(map(abs, v)) == m]
 
 
 def test_decompose_off_variety(gamma_p, curve_m2):

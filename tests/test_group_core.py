@@ -341,15 +341,51 @@ def test_is_torsion_pinned(curve_01, curve_m2, circle):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_order_case(), st.integers(-12, 12), st.integers(-12, 12))
-def test_reduction_is_a_homomorphism(case, i, j):
+@given(
+    _order_case(),
+    st.integers(-12, 12),
+    st.integers(-12, 12),
+    st.one_of(st.integers(2, 60), st.just(10007)),
+)
+def test_reduction_is_a_homomorphism(case, i, j, start):
+    # small primes divide denominators of some multiples: those points lie in
+    # the kernel and must reduce to the identity
     backend, p = case
     p1, p2 = double_and_add_mul(backend, i, p), double_and_add_mul(backend, j, p)
     s = _add_raw(backend, p1, p2)
-    red = good_reduction(backend, [p, p1, p2, s])
-    assert red.ell >= 10007
+    red = next(good_reduction(backend, start=start))
+    assert red.ell >= start and red.ell % 4 == 3
     assert red.point(s) == red.add(red.point(p1), red.point(p2))
     assert red.mul(i, red.point(p)) == red.point(p1)
+
+
+def test_reduction_at_the_kernel(curve_m2):
+    p = point(curve_m2, 3, 5)
+    red = next(good_reduction(curve_m2, start=19))
+    assert red.ell == 19
+    three_p = scalar_mul(curve_m2, 3, p)
+    assert three_p.x == Fraction(164323, 29241) and three_p.x.denominator == 171**2
+    assert red.point(three_p) is None
+    for k in range(-40, 41):
+        assert red.point(scalar_mul(curve_m2, k, p)) == red.mul(k, red.point(p))
+
+
+def test_good_reduction_primes(curve_m2, circle):
+    # an even start moves on to the next prime = 3 (mod 4)
+    assert next(good_reduction(curve_m2, start=20)).ell == 23
+    assert [r.ell for r in itertools.islice(good_reduction(curve_m2), 2)] == [10007, 10039]
+    # 3 divides 6(4a^3 + 27b^2); 19 divides the denominator of 3*(3, 5)
+    assert next(good_reduction(curve_m2, start=3)).ell == 7
+    three_p = scalar_mul(curve_m2, 3, point(curve_m2, 3, 5))
+    assert next(good_reduction(curve_m2, [three_p], start=19)).ell == 23
+    # circle denominators are sums of two squares: primes = 3 (mod 4) never
+    # divide them, so no multiple of a circ generator reduces badly
+    reds = list(itertools.islice(good_reduction(circle, start=2), 8))
+    assert [r.ell for r in reds] == [3, 7, 11, 19, 23, 31, 43, 47]
+    for g in (point(circle, Fraction(3, 5), Fraction(4, 5)), point(circle, 0, 1)):
+        for k in range(1, 60):
+            q = scalar_mul(circle, k, g)
+            assert is_identity(q) or all(q.x.denominator % r.ell for r in reds)
 
 
 def test_integral_model_trial_division_is_bounded():
