@@ -113,10 +113,12 @@ class GammaSpec:
     """A finitely generated subgroup of a backend group, with coordinates.
 
     Construction splits the generator list into free and torsion parts by
-    exact order computation, closes the torsion part into an explicit
-    finite group, and audits the free part for small integer dependencies.
-    Instances are immutable after construction except for internal
-    realize caches.
+    the order scan of point_order, which settles a point of infinite order
+    at its first non-integral multiple, closes the torsion part into an
+    explicit finite group, and audits the free part for small integer
+    dependencies by reduction mod two good primes, summing exactly only the
+    rare vectors that vanish at both.  Instances are immutable after
+    construction except for internal realize and decompose caches.
 
     Gamma is infinite, so every search over it is bounded: `ceiling` caps
     each coefficient box, decompose shell and quotient enumerated over it,
@@ -164,9 +166,12 @@ class GammaSpec:
             {0: IDENTITY} for _ in self.torsion.generators
         ]
         self._realized: dict[tuple[tuple[int, ...], tuple[int, ...]], GroupPoint] = {}
-        # decompose's reductions, set up by its first call (_start_index), and
-        # its index, grown one shell at a time
-        self._reds: tuple[group_core.Reduction, ...] = ()
+        # the reductions mod the first two good primes, shared by the audit
+        # and decompose; decompose's tables, set up by its first call
+        # (_start_index), and its index, grown one shell at a time
+        self._reds = tuple(itertools.islice(good_reduction(backend, self.free_gens), 2))
+        self._red_free: list[dict[int, tuple[int, int] | None]] = []
+        self._red_tors: list[tuple[tuple[int, ...], tuple[int, int] | None]] = []
         self._index: dict[tuple[int, int] | None, list[Coords]] = {}
         self._index_bound = -1
         self._audit_free_generators()
@@ -174,35 +179,62 @@ class GammaSpec:
     # -- construction helpers ------------------------------------------------
 
     def _audit_free_generators(self) -> None:
+        """Raise on the least relation in shell order: a nonzero k with
+        |k_i| <= audit_bound and k_1*g_1 + ... + k_r*g_r torsion.
+
+        A torsion sum reduces to a point that TORSION_EXPONENT kills, so a
+        relation has sum k_i*h_i, h_i = TORSION_EXPONENT*g_i, zero mod both
+        good primes of decompose.  The screen meets in the middle: the
+        reduced sums of every vector over the first ceil(r/2) generators are
+        tabulated, and every vector over the rest looks up its negated sum,
+        so about 2*17^ceil(r/2) reduced sums stand for the 17^r of the box.
+        Only the survivors are summed exactly, in shell order."""
         r = self.rank
         if r == 0:
             return
-        # Screen mod a good prime: a torsion sum of the k_i*g_i reduces to a
-        # point that TORSION_EXPONENT kills, so a vector whose reduced sum of
-        # k_i*h_i, h_i = TORSION_EXPONENT*g_i, is not the identity has a sum
-        # of infinite order.  Only the rare survivors are summed exactly.
-        red = next(good_reduction(self.backend, self.free_gens))
+        half = (r + 1) // 2
+        table: dict[tuple, list[tuple[int, ...]]] = {}
+        for v, key in self._audit_sums(self.free_gens[:half]).items():
+            table.setdefault(key, []).append(v)
+        rest = self._audit_sums(self.free_gens[half:])
+        # v + w vanishes where v's sums are those of -w
+        survivors = [
+            v + w for w in rest for v in table.get(rest[tuple(-k for k in w)], ()) if any(v + w)
+        ]
+        # (max-norm, lexicographic) is shell order
+        for k in sorted(survivors, key=lambda k: (max(map(abs, k)), k)):
+            p: GroupPoint = IDENTITY
+            for i, ki in enumerate(k):
+                p = _add_raw(self.backend, p, self._free_multiple(i, ki))
+            if is_torsion(self.backend, p):
+                rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
+                raise SpecValidationError(
+                    f"free generators fail the independence audit: {rel} is torsion"
+                )
+
+    def _audit_sums(self, gens: Sequence[GroupPoint]) -> dict[tuple[int, ...], tuple]:
+        """Every coefficient vector over gens with entries in
+        [-audit_bound, audit_bound], lexicographic, mapped to the pair of its
+        sums of k_i*h_i reduced mod ell1 and ell2."""
         b = self.audit_bound
-        mults = []
-        for g in self.free_gens:
-            h = red.mul(TORSION_EXPONENT, red.point(g))
-            mults.append({k: red.mul(k, h) for k in range(-b, b + 1)})
-        # shell order reports a relation of least max-norm
-        for m in range(1, b + 1):
-            for k in shell(r, m):
-                s = None
-                for i, ki in enumerate(k):
-                    s = red.add(s, mults[i][ki])
-                if s is not None:
-                    continue
-                p: GroupPoint = IDENTITY
-                for i, ki in enumerate(k):
-                    p = _add_raw(self.backend, p, self._free_multiple(i, ki))
-                if is_torsion(self.backend, p):
-                    rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
-                    raise SpecValidationError(
-                        f"free generators fail the independence audit: {rel} is torsion"
-                    )
+        red1, red2 = self._reds
+        sums: dict[tuple[int, ...], tuple] = {(): (None, None)}
+        for g in gens:
+            rows = []  # k -> k*h reduced, per prime
+            for red in self._reds:
+                h = red.mul(TORSION_EXPONENT, red.point(g))
+                row = {0: None}
+                for k in range(1, b + 1):
+                    row[k] = red.add(row[k - 1], h)
+                    row[-k] = red.mul(-1, row[k])
+                rows.append(row)
+            m1, m2 = rows
+            sums = {
+                v + (k,): (red1.add(s1, m1[k]), red2.add(s2, m2[k]))
+                for v, (s1, s2) in sums.items()
+                for k in range(-b, b + 1)
+            }
+        return sums
 
     # -- basic structure -------------------------------------------------------
 
@@ -322,15 +354,12 @@ class GammaSpec:
         return s
 
     def _start_index(self) -> None:
-        """The reductions mod the first two good primes, a table of reduced
-        multiples per free generator and the reduced sum of each torsion
-        residue vector."""
-        self._reds = tuple(itertools.islice(good_reduction(self.backend, self.free_gens), 2))
+        """A table of reduced multiples mod ell1 per free generator and the
+        reduced sum of each torsion residue vector."""
         red = self._reds[0]
-        self._red_free = []
-        for g in self.free_gens:
-            h = red.point(g)
-            self._red_free.append({0: None, 1: h, -1: red.mul(-1, h)})
+        self._red_free = [
+            {0: None, 1: h, -1: red.mul(-1, h)} for h in map(red.point, self.free_gens)
+        ]
         zero = (0,) * self.rank
         self._red_tors = [
             (t, self._reduce(red, Coords(zero, t)))
@@ -369,7 +398,7 @@ class GammaSpec:
         if bound < 0:
             raise InputError("coefficient bound must be >= 0")
         group_core._require_on_variety(self.backend, p)
-        if not self._reds:
+        if not self._red_tors:
             self._start_index()
         key, key2 = (red.point(p) for red in self._reds)
         # with no free generators every shell past 0 is empty

@@ -387,27 +387,29 @@ _MAX_CURVE_TORSION_ORDER = 12
 
 
 def point_order(backend: Backend, p: GroupPoint, cap: int = _MAX_CURVE_TORSION_ORDER) -> int | None:
-    """The exact order of p if it is at most cap, else None."""
+    """The exact order of p if it is at most cap, else None.
+
+    Every multiple of a torsion point is a torsion point, and by Nagell-Lutz
+    a torsion point is integral on the integral model (the circle's are the
+    four with integer coordinates).  So the scan stops with None at the
+    first multiple whose x is not integral there; y follows x, since y^2 is
+    then an integer."""
     _require_on_variety(backend, p)
+    u2 = _integral_model(backend)[0] ** 2 if isinstance(backend, Curve) else 1
     acc = p
     for k in range(1, cap + 1):
         if is_identity(acc):
             return k
+        if u2 % acc.x.denominator:
+            return None
         acc = _add_raw(backend, acc, p)
     return None
 
 
 def is_torsion(backend: Backend, p: GroupPoint) -> bool:
-    """Whether p has finite order, without the torsion subgroup.
-
-    By Nagell-Lutz a torsion point has integer coordinates on the integral
-    model, and the circle's are the four with integer coordinates; so only
-    integral points pay for the order scan."""
-    if is_identity(p):
-        return True
-    u = _integral_model(backend)[0] if isinstance(backend, Curve) else 1
-    if (p.x * u**2).denominator != 1 or (p.y * u**3).denominator != 1:
-        return False
+    """Whether p has finite order, without the torsion subgroup: a point of
+    infinite order is settled at its first non-integral multiple
+    (point_order), (3, 5) on y^2 = x^3 - 2 after one addition."""
     return point_order(backend, p) is not None
 
 

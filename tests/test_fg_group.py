@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from fractions import Fraction
 from functools import partial
@@ -13,7 +14,7 @@ from mordell.errors import (
     QuotientCeilingError,
     SpecValidationError,
 )
-from mordell import fg_group, group_core
+from mordell import cli, fg_group, group_core
 from mordell.fg_group import Coords, GammaSpec, Undecided, shell
 from mordell.group_core import (
     IDENTITY,
@@ -67,17 +68,22 @@ _AUDIT_FAMILIES = [
     (0, 8, [(1, 3)], [(-2, 0)]),
     (-36, 0, [(-3, 9)], [(0, 0), (6, 0), (-6, 0)]),
     (-7, 10, [(1, 2), (-1, 4)], []),
-    (None, None, [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13))],
-     [(0, 1), (-1, 0), (0, -1)]),
+    (
+        None,
+        None,
+        [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)), (Fraction(8, 17), Fraction(15, 17))],
+        [(0, 1), (-1, 0), (0, -1)],
+    ),
 ]
 
 
 @st.composite
 def _audit_spec(draw):
-    """A backend and a rank-1 or rank-2 generator list: g1 = c*F + T, and g2
-    either another such combination or the dependent m*g1 + t; curves are
-    optionally moved to rational a and b by (t^2 x, t^3 y), and a torsion
-    generator may ride along."""
+    """A backend and a generator list of rank up to 2, or 3 on the circle:
+    g1 = c*F + T, and each later g_i either another such combination or the
+    dependent m_1*g_1 + ... + m_{i-1}*g_{i-1} + t; curves are optionally
+    moved to rational a and b by (t^2 x, t^3 y), and a torsion generator
+    may ride along."""
     a, b, free, tors = draw(st.sampled_from(_AUDIT_FAMILIES))
     if a is None:
         backend, scale = Circle(), Fraction(1)
@@ -92,13 +98,15 @@ def _audit_spec(draw):
         f = draw(st.sampled_from(free_pts))
         return add(backend, scalar_mul(backend, c, f), draw(st.sampled_from(tors_pts)))
 
+    def dependent(gens):
+        acc = draw(st.sampled_from(tors_pts))
+        for g in gens:
+            acc = add(backend, acc, scalar_mul(backend, draw(st.integers(-3, 3)), g))
+        return acc
+
     gens = [combo()]
-    if draw(st.booleans()):
-        if draw(st.booleans()):
-            gens.append(combo())
-        else:
-            m = draw(st.integers(-3, 3))
-            gens.append(add(backend, scalar_mul(backend, m, gens[0]), draw(st.sampled_from(tors_pts))))
+    for _ in range(draw(st.integers(0, 2 if len(free) == 3 else 1))):
+        gens.append(combo() if draw(st.booleans()) else dependent(gens))
     if draw(st.booleans()):
         gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(tors_pts)))
     return backend, gens
@@ -114,6 +122,40 @@ def test_screened_audit_matches_exact_oracle(case):
     except SpecValidationError as exc:
         got = str(exc)
     assert got == audit_by_torsion_set(backend, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_audit_spec(), st.integers(3, 50))
+def test_screened_audit_from_small_primes_matches_exact_oracle(case, start):
+    # in tiny fields most vectors survive the screen, so the order in which
+    # the survivors are summed decides the relation reported
+    backend, gens = case
+    try:
+        with mock.patch.object(fg_group, "good_reduction", partial(group_core.good_reduction, start=start)):
+            GammaSpec(backend, gens)
+        got = None
+    except SpecValidationError as exc:
+        got = str(exc)
+    assert got == audit_by_torsion_set(backend, gens)
+
+
+# the Pythagorean primes 5, 13, 17, 29, 37 and 41 give independent points of
+# the circle, whose group of rational points has infinite rank
+_CIRCLE_RANK6 = [["3/5", "4/5"], ["5/13", "12/13"], ["8/17", "15/17"], ["20/29", "21/29"], ["12/37", "35/37"], ["9/41", "40/41"]]
+
+
+def test_rank_six_audit_meets_in_the_middle(spec_file, capsys):
+    # the audit box holds 17^6 - 1 vectors; tabulating half of each keeps
+    # the build far from that
+    gens = [point(Circle(), Fraction(x), Fraction(y)) for x, y in _CIRCLE_RANK6]
+    t0 = time.perf_counter()
+    assert GammaSpec(Circle(), gens).rank == 6
+    assert time.perf_counter() - t0 < 2.0
+    path = spec_file({"kind": "circle", "generators": _CIRCLE_RANK6, "rank": 6})
+    assert cli.main(["curve-info", "--spec", path, "--machine"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["rank"] == 6
+    assert record["subgroup_torsion_factors"] == []
 
 
 def test_coords_rendering():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mordell import group_core
 from mordell.errors import InputError
 from mordell.fg_group import Coords, GammaSpec
 from mordell.group_core import (
@@ -316,6 +317,31 @@ def _order_case(draw):
     t = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     curve = make_curve(a * t**4, b * t**6)
     return curve, double_and_add_mul(curve, j, point(curve, x * t**2, y * t**3))
+
+
+def test_point_order_of_table_torsion():
+    # every multiple j*P of each table generator, on the curve itself and
+    # moved to a = a*t^4, b = b*t^6 with t = 2/3, has order n/gcd(j, n)
+    orders = [6, 3, 4, 7, 2, 2, 2]
+    for (a, b, x, y), n in zip(_TABLE_TORSION, orders):
+        for t in (Fraction(1), Fraction(2, 3)):
+            curve = make_curve(a * t**4, b * t**6)
+            p = point(curve, x * t**2, y * t**3)
+            for j in range(1, n + 1):
+                assert point_order(curve, scalar_mul(curve, j, p)) == n // math.gcd(j, n)
+
+
+def test_is_torsion_stops_at_the_first_non_integral_multiple(curve_m2, monkeypatch):
+    # 2*(3, 5) = (129/100, -383/1000) settles (3, 5) after one addition
+    calls = []
+
+    def counted(backend, p, q):
+        calls.append((p, q))
+        return _add_raw(backend, p, q)
+
+    monkeypatch.setattr(group_core, "_add_raw", counted)
+    assert not is_torsion(curve_m2, point(curve_m2, 3, 5))
+    assert len(calls) == 1
 
 
 @settings(max_examples=200, deadline=None)
