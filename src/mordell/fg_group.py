@@ -21,6 +21,7 @@ from .errors import InputError, PreconditionError, QuotientCeilingError, SpecVal
 from . import group_core
 from .group_core import (
     Backend,
+    Circle,
     GroupPoint,
     IDENTITY,
     TORSION_EXPONENT,
@@ -118,7 +119,7 @@ class GammaSpec:
     explicit finite group, and audits the free part for small integer
     dependencies by reduction mod two good primes, summing exactly only the
     rare vectors that vanish at both.  Instances are immutable after
-    construction except for internal realize and decompose caches.
+    construction except for the internal realize cache.
 
     Gamma is infinite, so every search over it is bounded: `ceiling` caps
     each coefficient box, decompose shell and quotient enumerated over it,
@@ -166,14 +167,11 @@ class GammaSpec:
             {0: IDENTITY} for _ in self.torsion.generators
         ]
         self._realized: dict[tuple[tuple[int, ...], tuple[int, ...]], GroupPoint] = {}
-        # the reductions mod the first two good primes, shared by the audit
-        # and decompose; decompose's tables, set up by its first call
-        # (_start_index), and its index, grown one shell at a time
+        # the free then the torsion generators reduced mod the first two
+        # good primes, for _matches
         self._reds = tuple(itertools.islice(good_reduction(backend, self.free_gens), 2))
-        self._red_free: list[dict[int, tuple[int, int] | None]] = []
-        self._red_tors: list[tuple[tuple[int, ...], tuple[int, int] | None]] = []
-        self._index: dict[tuple[int, int] | None, list[Coords]] = {}
-        self._index_bound = -1
+        gens = self.free_gens + self.torsion.generators
+        self._images = [tuple(red.point(g) for red in self._reds) for g in gens]
         self._audit_free_generators()
 
     # -- construction helpers ------------------------------------------------
@@ -182,27 +180,15 @@ class GammaSpec:
         """Raise on the least relation in shell order: a nonzero k with
         |k_i| <= audit_bound and k_1*g_1 + ... + k_r*g_r torsion.
 
-        A torsion sum reduces to a point that TORSION_EXPONENT kills, so a
-        relation has sum k_i*h_i, h_i = TORSION_EXPONENT*g_i, zero mod both
-        good primes of decompose.  The screen meets in the middle: the
-        reduced sums of every vector over the first ceil(r/2) generators are
-        tabulated, and every vector over the rest looks up its negated sum,
-        so about 2*17^ceil(r/2) reduced sums stand for the 17^r of the box.
-        Only the survivors are summed exactly, in shell order."""
-        r = self.rank
-        if r == 0:
-            return
-        half = (r + 1) // 2
-        table: dict[tuple, list[tuple[int, ...]]] = {}
-        for v, key in self._audit_sums(self.free_gens[:half]).items():
-            table.setdefault(key, []).append(v)
-        rest = self._audit_sums(self.free_gens[half:])
-        # v + w vanishes where v's sums are those of -w
-        survivors = [
-            v + w for w in rest for v in table.get(rest[tuple(-k for k in w)], ()) if any(v + w)
-        ]
-        # (max-norm, lexicographic) is shell order
-        for k in sorted(survivors, key=lambda k: (max(map(abs, k)), k)):
+        e kills every rational torsion point (TORSION_EXPONENT on curves, 4
+        on the circle, whose rational torsion is mu_4), so a relation has
+        sum k_i*h_i, h_i = e*g_i, zero mod both good primes.  Only the vectors
+        _matches finds are summed exactly, in shell order."""
+        e = 4 if isinstance(self.backend, Circle) else TORSION_EXPONENT
+        images = [self._row(img, e, 1, 1)[1] for img in self._images[: self.rank]]  # the h_i
+        b = self.audit_bound
+        # the zero vector comes first, alone in shell 0
+        for k in self._matches(images, [(-b, b)] * self.rank, (None, None))[1:]:
             p: GroupPoint = IDENTITY
             for i, ki in enumerate(k):
                 p = _add_raw(self.backend, p, self._free_multiple(i, ki))
@@ -212,27 +198,65 @@ class GammaSpec:
                     f"free generators fail the independence audit: {rel} is torsion"
                 )
 
-    def _audit_sums(self, gens: Sequence[GroupPoint]) -> dict[tuple[int, ...], tuple]:
-        """Every coefficient vector over gens with entries in
-        [-audit_bound, audit_bound], lexicographic, mapped to the pair of its
-        sums of k_i*h_i reduced mod ell1 and ell2."""
-        b = self.audit_bound
+    def _matches(self, images, ranges, target) -> list[tuple[int, ...]]:
+        """Every integer vector c with lo_i <= c_i <= hi_i, (lo_i, hi_i) =
+        ranges[i], whose sum c_1*images[1] + ... is target mod both good
+        primes, in shell order: max-norm of the first rank entries, then
+        lexicographic.
+
+        Baby-step giant-step (Shanks): c_i = a_i + s_i*b_i with p_i <= a_i <
+        p_i + s_i, the strides s_i chosen so that the a-vectors and the
+        b-vectors each number about the square root of the box.  The reduced
+        sums of the a-vectors are tabulated, and each b-vector looks up
+        target - sum s_i*b_i*images[i].  p_i keeps a_i near 0, where its
+        multiples cost least."""
+        strides, left = [], math.isqrt(math.prod(hi - lo + 1 for lo, hi in ranges))
+        for lo, hi in ranges:
+            strides.append(min(hi - lo + 1, left))
+            left = -(-left // strides[-1])
+        starts = [max(lo, -(s // 2)) for (lo, _), s in zip(ranges, strides)]
+        table: dict[tuple, list[tuple[int, ...]]] = {}
+        babies = [self._row(img, 1, p, p + s - 1) for img, p, s in zip(images, starts, strides)]
+        for a, key in self._sums(babies, (None, None)).items():
+            table.setdefault(key, []).append(a)
+        giants = [
+            self._row(img, -s, (lo - p) // s, (hi - p) // s)
+            for img, (lo, hi), p, s in zip(images, ranges, starts, strides)
+        ]
+        found = [
+            c
+            for b, key in self._sums(giants, target).items()
+            for a in table.get(key, ())
+            for c in [tuple(ai + s * bi for ai, s, bi in zip(a, strides, b))]
+            if all(lo <= ci <= hi for ci, (lo, hi) in zip(c, ranges))
+        ]
+        return sorted(found, key=lambda c: (max(map(abs, c[: self.rank]), default=0), c))
+
+    def _row(self, img, step: int, lo: int, hi: int) -> dict[int, tuple]:
+        """k -> k*step*img for lo <= k <= hi, at both primes: the positive
+        multiples by successive addition, the negative ones by negation."""
         red1, red2 = self._reds
-        sums: dict[tuple[int, ...], tuple] = {(): (None, None)}
-        for g in gens:
-            rows = []  # k -> k*h reduced, per prime
-            for red in self._reds:
-                h = red.mul(TORSION_EXPONENT, red.point(g))
-                row = {0: None}
-                for k in range(1, b + 1):
-                    row[k] = red.add(row[k - 1], h)
-                    row[-k] = red.mul(-1, row[k])
-                rows.append(row)
-            m1, m2 = rows
+        n = max(-lo, hi)
+        d1, d2 = (red1.mul(step, img[0]), red2.mul(step, img[1])) if n else (None, None)
+        pos = [(None, None)]
+        while len(pos) <= n:
+            s1, s2 = pos[-1]
+            pos.append((red1.add(s1, d1), red2.add(s2, d2)))
+        return {
+            k: pos[k] if k >= 0 else (red1.mul(-1, pos[-k][0]), red2.mul(-1, pos[-k][1]))
+            for k in range(lo, hi + 1)
+        }
+
+    def _sums(self, rows, start) -> dict[tuple[int, ...], tuple]:
+        """Every vector k with k_i in rows[i], lexicographic, mapped to
+        start + rows[1][k_1] + ... at both primes."""
+        red1, red2 = self._reds
+        sums = {(): start}
+        for row in rows:
             sums = {
-                v + (k,): (red1.add(s1, m1[k]), red2.add(s2, m2[k]))
+                v + (k,): (red1.add(s1, r1), red2.add(s2, r2))
                 for v, (s1, s2) in sums.items()
-                for k in range(-b, b + 1)
+                for k, (r1, r2) in row.items()
             }
         return sums
 
@@ -346,80 +370,38 @@ class GammaSpec:
 
     # -- decompose and friends ----------------------------------------------------
 
-    def _reduce(self, red: group_core.Reduction, coords: Coords):
-        """realize(coords) reduced at red, from the reduced generators."""
-        s = None
-        for g, k in zip(self.free_gens + self.torsion.generators, coords.free + coords.torsion):
-            s = red.add(s, red.mul(k, red.point(g)))
-        return s
-
-    def _start_index(self) -> None:
-        """A table of reduced multiples mod ell1 per free generator and the
-        reduced sum of each torsion residue vector."""
-        red = self._reds[0]
-        self._red_free = [
-            {0: None, 1: h, -1: red.mul(-1, h)} for h in map(red.point, self.free_gens)
-        ]
-        zero = (0,) * self.rank
-        self._red_tors = [
-            (t, self._reduce(red, Coords(zero, t)))
-            for t in itertools.product(*(range(d) for d in self.torsion_factors))
-        ]
-
-    def _index_shell(self, m: int) -> None:
-        """File every coords of shell m under its reduced sum, in shell order."""
-        red = self._reds[0]
-        if m > 1:
-            for t in self._red_free:
-                t[m] = red.add(t[m - 1], t[1])
-                t[-m] = red.mul(-1, t[m])
-        for free in shell(self.rank, m):
-            s = None
-            for t, k in zip(self._red_free, free):
-                s = red.add(s, t[k])
-            for tors, r in self._red_tors:
-                self._index.setdefault(red.add(s, r), []).append(Coords(free, tors))
-        self._index_bound = m
-
     def decompose(self, p: GroupPoint, bound: int = DEFAULT_COEFF_BOUND) -> Coords | Undecided:
-        """Find coords realizing p with all |free coefficients| <= bound, by
-        shell search; Undecided(bound) when the box is exhausted.
+        """Find coords realizing p with all |free coefficients| <= bound;
+        Undecided(bound) when the box is exhausted.
 
-        The index files coords by their reduction mod a good prime ell1
-        (reduction is a homomorphism, so the coords of p file under p mod
-        ell1).  It grows one shell at a time (_index_bound is the last shell
-        fully indexed) and the search stops at the first shell that holds p.
-        Only the coords filed under p mod ell1 are tried: mod a second good
-        prime, then exactly with realize.  Shells ascend and the first coords
-        that pass are kept, so the answer is the minimal-norm representative.
-        Indexing a shell m whose box (2m+1)^rank * |torsion| exceeds the
-        ceiling raises QuotientCeilingError; a hit in a lower shell is still
-        answered."""
+        Reduction is a homomorphism, so the coords of p are among those whose
+        reduced sum is p mod both good primes (_matches), and only those are
+        realized, in shell order; the first that realizes p exactly is the
+        minimal-norm representative.  The search covers the shells m <= m*,
+        m* the largest whose box (2m+1)^rank * |torsion| fits the ceiling;
+        with no hit there and m* < bound, shell m* + 1 raises
+        QuotientCeilingError."""
         if bound < 0:
             raise InputError("coefficient bound must be >= 0")
         group_core._require_on_variety(self.backend, p)
-        if not self._red_tors:
-            self._start_index()
-        key, key2 = (red.point(p) for red in self._reds)
-        # with no free generators every shell past 0 is empty
-        last = bound if self.rank else 0
-        tried = 0
-        while True:
-            bucket = self._index.get(key, [])
-            found = next(
-                (c for c in bucket[tried:] if self._reduce(self._reds[1], c) == key2 and self.realize(c) == p),
-                None,
-            )
-            tried = len(bucket)
-            if found is not None or self._index_bound >= last:
-                break
-            m = self._index_bound + 1
-            self.check_ceiling(
-                (2 * m + 1) ** self.rank * math.prod(self.torsion_factors), "decompose shell"
-            )
-            self._index_shell(m)
-        if found is not None and found.max_norm() <= bound:
-            return found
+        r, factors = self.rank, self.torsion_factors
+        # bisect for m*, -1 when not even shell 0 fits
+        top, hi = -1, bound
+        while top < hi:
+            mid = (top + hi + 1) // 2
+            if (2 * mid + 1) ** r * math.prod(factors) <= self.ceiling:
+                top = mid
+            else:
+                hi = mid - 1
+        if top >= 0:
+            ranges = [(-top, top)] * r + [(0, d - 1) for d in factors]
+            for c in self._matches(self._images, ranges, tuple(red.point(p) for red in self._reds)):
+                coords = Coords(c[:r], c[r:])
+                if self.realize(coords) == p:
+                    return coords
+        if top < bound:
+            # the box of shell m* + 1
+            self.check_ceiling((2 * top + 3) ** r * math.prod(factors), "decompose shell")
         return Undecided(bound)
 
     def divisible_in_gamma(

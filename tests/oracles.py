@@ -9,7 +9,7 @@ come from binary double-and-add over the chord-tangent law, not from
 division values; the independence audit tests every sum of its box against
 the full torsion subgroup, with no screen mod a prime; decompose is an
 exact shell search that realizes every coefficient vector in turn, with no
-index mod a prime.  Matrix products and Bareiss determinants check the
+search mod a prime.  Matrix products and Bareiss determinants check the
 Smith transforms, and character images k1*t1 + ... + kn*tn summed by the
 group law check coordinate membership.
 On a two-component curve the identity branch is told from the oval by a

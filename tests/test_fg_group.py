@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -158,6 +159,20 @@ def test_rank_six_audit_meets_in_the_middle(spec_file, capsys):
     assert record["subgroup_torsion_factors"] == []
 
 
+# the Pythagorean primes up to 61
+_CIRCLE_RANK8 = _CIRCLE_RANK6 + [["45/53", "28/53"], ["11/61", "60/61"]]
+
+
+def test_rank_eight_circle_audit_uses_exponent_four():
+    # 27720*g_i would lie in subgroups of order 139 and 251 mod 10007 and
+    # 10039, so most of the 17^8 sums would collide there; 4 kills the
+    # circle's rational torsion and leaves subgroups of order 2502 and 2510
+    gens = [point(Circle(), Fraction(x), Fraction(y)) for x, y in _CIRCLE_RANK8]
+    t0 = time.perf_counter()
+    assert GammaSpec(Circle(), gens).rank == 8
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_coords_rendering():
     assert str(Coords((2,), ())) == "free=[2] tors=[]"
     assert str(Coords((2, -1), (3,))) == "free=[2 -1] tors=[3]"
@@ -184,11 +199,12 @@ def test_decompose_unreachable_point(gamma_2p, curve_m2):
 def test_decompose_stops_at_first_shell_holding_the_point(curve_m2):
     gamma = GammaSpec(curve_m2, [point(curve_m2, 3, 5)], claimed_rank=1)
     assert gamma.decompose(point(curve_m2, 3, 5), bound=300) == Coords((1,), ())
-    assert gamma._index_bound == 1
+    # only coords matching the point mod both good primes are realized
+    assert set(gamma._realized) == {((1,), ())}
     three_p = gamma.realize(Coords((3,), ()))
     assert gamma.decompose(three_p, bound=5) == Coords((3,), ())
-    assert gamma._index_bound == 3
-    # an indexed hit beyond a smaller bound is still undecided there
+    assert set(gamma._realized) == {((1,), ()), ((3,), ())}
+    # a hit beyond a smaller bound is still undecided there
     assert gamma.decompose(three_p, bound=2) == Undecided(2)
 
 
@@ -199,19 +215,52 @@ def test_decompose_ceiling_applies_to_shells_searched(curve_m2):
     p = point(curve_m2, 3, 5)  # not in <2P>
     assert gamma.decompose(p, bound=10) == Undecided(10)
     # shell 11 has a box of 23 points
-    with pytest.raises(QuotientCeilingError):
+    with pytest.raises(QuotientCeilingError) as excinfo:
         gamma.decompose(p, bound=300)
-    assert gamma._index_bound == 10
+    assert excinfo.value.attempted == 23
+    assert excinfo.value.what == "decompose shell"
 
 
 def test_decompose_excluded_point_at_a_large_bound(curve_m2):
-    # (3, 5) is not in <2P>: every one of its 200001 coords is indexed mod a
-    # prime and none is realized, where the exact shell search would build
-    # points of millions of digits
+    # (3, 5) is not in <2P>: none of its 200001 coords matches it mod both
+    # good primes, so none is realized, where the exact shell search would
+    # build points of millions of digits
     g = point(curve_m2, Fraction(129, 100), Fraction(-383, 1000))
     t0 = time.perf_counter()
     assert GammaSpec(curve_m2, [g]).decompose(point(curve_m2, 3, 5), 100000) == Undecided(100000)
     assert time.perf_counter() - t0 < 10.0
+
+
+def _non_members():
+    c17, m2 = make_curve(0, 17), make_curve(0, -2)
+    a, b = point(c17, -2, 3), point(c17, -1, 4)
+    return {
+        # (-2, 3) is A, outside <2A, B>; its box at bound 300 holds 601^2 coords
+        "c17": (lambda: GammaSpec(c17, [scalar_mul(c17, 2, a), b]), a, 300),
+        # (3, 5) is P, outside <2P>; the ceiling caps its box at 200001 coords
+        "m2": (
+            lambda: GammaSpec(m2, [point(m2, Fraction(129, 100), Fraction(-383, 1000))]),
+            point(m2, 3, 5),
+            100000,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["c17", "m2"])
+def test_decompose_non_member_costs_the_square_root_of_its_box(name):
+    spec, p, bound = _non_members()[name]
+    gamma = spec()
+    t0 = time.perf_counter()
+    assert gamma.decompose(p, bound) == Undecided(bound)
+    assert time.perf_counter() - t0 < 0.1
+    gamma = spec()
+    tracemalloc.start()
+    try:
+        assert gamma.decompose(p, bound) == Undecided(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def _decompose_groups():
@@ -228,8 +277,8 @@ def _decompose_groups():
 
 _DECOMPOSE_GROUPS = _decompose_groups()
 _NON_MEMBERS = {name: enumerate_rational_points(b, 60) for name, (b, _) in _DECOMPOSE_GROUPS.items()}
-# one spec per group kept across draws, so its index meets bounds that grow
-# and shrink
+# one spec per group kept across draws, so its realize cache meets bounds
+# that grow and shrink
 _REUSED = {name: GammaSpec(b, gens) for name, (b, gens) in _DECOMPOSE_GROUPS.items()}
 
 
@@ -258,6 +307,50 @@ def test_decompose_matches_shell_search(name, mode, bound, data):
     else:
         got = gamma.decompose(p, bound)
     assert got == shell_search_decompose(GammaSpec(backend, gens), p, bound)
+
+
+def _unimodular(data, r):
+    """An r x r integer matrix of determinant +-1, a product of up to four
+    elementary row operations with small multipliers."""
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(data.draw(st.integers(0, 4), label="ops")):
+        i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+        k = -1 if i == j else data.draw(st.sampled_from([-2, -1, 1, 2]))
+        u[i] = [x * k for x in u[i]] if i == j else [x + k * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def _scaled(backend, u, p):
+    """p moved to the model (u^4 a, u^6 b) by (x, y) -> (u^2 x, u^3 y)."""
+    return p if p == IDENTITY else point(backend, u**2 * p.x, u**3 * p.y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["c17", "c36"]), st.integers(0, 5), st.data())
+def test_decompose_is_equivariant_under_basis_and_model_change(name, bound, data):
+    backend, gens = _DECOMPOSE_GROUPS[name]
+    gamma = GammaSpec(backend, gens)
+    r, factors = gamma.rank, gamma.torsion_factors
+    tors = tuple(data.draw(st.integers(0, d - 1)) for d in factors)
+    # a unimodular change of the free basis: g'_j = sum_i U[i][j]*g_i, so the
+    # coords c' on g' are U*c' on g
+    u = _unimodular(data, r)
+    free = [gamma.realize(Coords(col, (0,) * len(factors))) for col in zip(*u)]
+    moved = GammaSpec(backend, free + list(gamma.torsion.generators))
+    assert (moved.rank, moved.torsion_factors) == (r, factors)
+    c_new = tuple(data.draw(st.integers(-3, 3)) for _ in range(r))
+    c_old = tuple(sum(x * y for x, y in zip(row, c_new)) for row in u)
+    p = moved.realize(Coords(c_new, tors))
+    assert p == gamma.realize(Coords(c_old, tors))
+    for spec, c in ((moved, c_new), (gamma, c_old)):
+        expect = Coords(c, tors) if max(map(abs, c), default=0) <= bound else Undecided(bound)
+        assert spec.decompose(p, bound) == expect
+    # the model change (a, b) -> (u^4 a, u^6 b) is an isomorphism of groups
+    s = data.draw(st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(2), Fraction(3)]), label="u")
+    scaled_curve = make_curve(s**4 * backend.a, s**6 * backend.b)
+    scaled = GammaSpec(scaled_curve, [_scaled(scaled_curve, s, g) for g in gens])
+    assert (scaled.rank, scaled.torsion_factors) == (r, factors)
+    assert scaled.decompose(_scaled(scaled_curve, s, p), bound) == gamma.decompose(p, bound)
 
 
 def test_shell_rank_one_and_generic_form():
