@@ -8,44 +8,3 @@ never as a definite no.
 """
 
 __version__ = "0.1.0"
-
-from .exact_num import MultiPoly, Rational, format_rational, parse_rational
-from .group_core import (
-    IDENTITY,
-    Affine,
-    Circle,
-    Curve,
-    TorsionGroup,
-    add,
-    enumerate_rational_points,
-    naive_height,
-    negate,
-    on_variety,
-    real_components,
-    scalar_mul,
-    torsion_subgroup,
-)
-from .fg_group import Coords, GammaSpec, Undecided
-
-__all__ = [
-    "Affine",
-    "Circle",
-    "Coords",
-    "Curve",
-    "GammaSpec",
-    "IDENTITY",
-    "MultiPoly",
-    "Rational",
-    "TorsionGroup",
-    "Undecided",
-    "add",
-    "enumerate_rational_points",
-    "format_rational",
-    "naive_height",
-    "negate",
-    "on_variety",
-    "parse_rational",
-    "real_components",
-    "scalar_mul",
-    "torsion_subgroup",
-]

@@ -96,9 +96,6 @@ class CosetUnion:
                 ):
                     raise InputError(f"residue slot {slot} is not reduced mod {shape}")
 
-    def __len__(self):
-        return len(self.residues)
-
     def residue_set(self) -> frozenset[Residue]:
         return frozenset(self.residues)
 

@@ -17,9 +17,6 @@ from typing import Mapping, Sequence
 
 from .errors import DigitLimitError, InputError
 
-# The one rational type used across the package.
-Rational = Fraction
-
 # optional minus, digits, optional /digits -- no whitespace, no floats
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
@@ -198,10 +195,7 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return MultiPoly(self.arity, {e: c * v for e, v in self.terms.items()})
+    def __mul__(self, other: MultiPoly) -> MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_arity(other)
@@ -211,8 +205,6 @@ class MultiPoly:
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 acc[exps] = acc.get(exps, Fraction(0)) + c1 * c2
         return MultiPoly(self.arity, acc)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> MultiPoly:
         if not isinstance(k, int) or k < 0:

@@ -35,7 +35,7 @@ from .group_core import (
     scalar_mul,
     validate_backend,
 )
-from .intlinalg import kernel_basis
+from .intlinalg import ZLattice, kernel_basis
 
 DEFAULT_COEFF_BOUND = 16
 DEFAULT_AUDIT_BOUND = 8
@@ -119,7 +119,8 @@ class GammaSpec:
     explicit finite group, and audits the free part for small integer
     dependencies by reduction mod two good primes, summing exactly only the
     rare vectors that vanish at both.  Instances are immutable after
-    construction except for the internal realize cache.
+    construction except for two caches: generator multiples k*g and
+    realized sums.
 
     Gamma is infinite, so every search over it is bounded: `ceiling` caps
     each coefficient box, decompose shell and quotient enumerated over it,
@@ -160,18 +161,13 @@ class GammaSpec:
                 f"claimed rank {claimed_rank}, but {len(self.free_gens)} generators "
                 f"have infinite order"
             )
-        self._free_mults: list[dict[int, GroupPoint]] = [
-            {0: IDENTITY} for _ in self.free_gens
-        ]
-        self._tors_mults: list[dict[int, GroupPoint]] = [
-            {0: IDENTITY} for _ in self.torsion.generators
-        ]
+        # the free then the torsion generators: coordinate i belongs to _gens[i]
+        self._gens = self.free_gens + self.torsion.generators
+        self._mults: dict[tuple[int, int], GroupPoint] = {}  # (i, k) -> k*_gens[i]
         self._realized: dict[tuple[tuple[int, ...], tuple[int, ...]], GroupPoint] = {}
-        # the free then the torsion generators reduced mod the first two
-        # good primes, for _matches
+        # the generators reduced mod the first two good primes, for _matches
         self._reds = tuple(itertools.islice(good_reduction(backend, self.free_gens), 2))
-        gens = self.free_gens + self.torsion.generators
-        self._images = [tuple(red.point(g) for red in self._reds) for g in gens]
+        self._images = [tuple(red.point(g) for red in self._reds) for g in self._gens]
         self._audit_free_generators()
 
     # -- construction helpers ------------------------------------------------
@@ -186,13 +182,10 @@ class GammaSpec:
         _matches finds are summed exactly, in shell order."""
         e = 4 if isinstance(self.backend, Circle) else TORSION_EXPONENT
         images = [self._row(img, e, 1, 1)[1] for img in self._images[: self.rank]]  # the h_i
-        b = self.audit_bound
+        b, tors = self.audit_bound, (0,) * len(self.torsion_factors)
         # the zero vector comes first, alone in shell 0
         for k in self._matches(images, [(-b, b)] * self.rank, (None, None))[1:]:
-            p: GroupPoint = IDENTITY
-            for i, ki in enumerate(k):
-                p = _add_raw(self.backend, p, self._free_multiple(i, ki))
-            if is_torsion(self.backend, p):
+            if is_torsion(self.backend, self.realize(Coords(k, tors))):
                 rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
                 raise SpecValidationError(
                     f"free generators fail the independence audit: {rel} is torsion"
@@ -278,25 +271,6 @@ class GammaSpec:
 
     # -- realize ----------------------------------------------------------------
 
-    def _free_multiple(self, i: int, k: int) -> GroupPoint:
-        cache = self._free_mults[i]
-        if k not in cache:
-            cache[k] = scalar_mul(self.backend, k, self.free_gens[i])
-        return cache[k]
-
-    def _tors_multiple(self, j: int, t: int) -> GroupPoint:
-        d = self.torsion_factors[j]
-        t %= d
-        cache = self._tors_mults[j]
-        if t not in cache:
-            gen = self.torsion.generators[j]
-            start = max(c for c in cache if c <= t)
-            acc = cache[start]
-            for c in range(start + 1, t + 1):
-                acc = _add_raw(self.backend, acc, gen)
-                cache[c] = acc
-        return cache[t]
-
     def check_coords(self, coords: Coords) -> None:
         """Reject coords that do not fit the rank and torsion factors or are
         not integers."""
@@ -318,12 +292,12 @@ class GammaSpec:
         if cached is not None:
             return cached
         acc: GroupPoint = IDENTITY
-        for i, c in enumerate(coords.free):
+        for i, c in enumerate(key[0] + key[1]):
             if c:
-                acc = _add_raw(self.backend, acc, self._free_multiple(i, c))
-        for j, t in enumerate(key[1]):
-            if t:
-                acc = _add_raw(self.backend, acc, self._tors_multiple(j, t))
+                mult = self._mults.get((i, c))
+                if mult is None:
+                    mult = self._mults[i, c] = scalar_mul(self.backend, c, self._gens[i])
+                acc = _add_raw(self.backend, acc, mult)
         self._realized[key] = acc
         return acc
 
@@ -442,7 +416,10 @@ class GammaSpec:
     ) -> tuple[int, ...] | None:
         """A shortest (max-norm) nonzero integer vector k with
         k1*p1 + ... + km*pm in the torsion subgroup, or None when the free
-        coordinate vectors are independent."""
+        coordinate vectors are independent.  Ties go to the lexicographically
+        least k whose first nonzero entry is positive.  Such k form the kernel
+        lattice of the free coordinate matrix, walked in the box of its
+        shortest basis vector."""
         if not points:
             raise InputError("need at least one point")
         cols = []
@@ -459,29 +436,12 @@ class GammaSpec:
         basis = kernel_basis(matrix, width=m)
         if not basis:
             return None
-        shortest = min(max(abs(x) for x in v) for v in basis)
-
-        def in_kernel(k):
-            return all(
-                sum(kj * cols[j][i] for j, kj in enumerate(k)) == 0
-                for i in range(self.rank)
-            )
-
-        for norm in range(1, shortest + 1):
-            hits = []
-            for k in shell(m, norm):
-                if not in_kernel(k):
-                    continue
-                canon = k
-                first = next(x for x in k if x)
-                if first < 0:
-                    canon = tuple(-x for x in k)
-                hits.append(canon)
-            if hits:
-                return min(hits)
-        # a kernel basis vector itself has the minimal norm, so this line is
-        # unreachable; keep a hard failure rather than a silent wrong answer
-        raise AssertionError("kernel search missed its own basis vector")
+        radius = min(max(map(abs, v)) for v in basis)
+        return min(
+            (max(map(abs, k)), k)
+            for k in ZLattice(m, basis).coset_points((0,) * m, radius)
+            if next((x for x in k if x), 0) > 0
+        )[1]
 
     # -- density probes -------------------------------------------------------------
 

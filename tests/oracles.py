@@ -9,14 +9,17 @@ come from binary double-and-add over the chord-tangent law, not from
 division values; the independence audit tests every sum of its box against
 the full torsion subgroup, with no screen mod a prime; decompose is an
 exact shell search that realizes every coefficient vector in turn, with no
-search mod a prime.  Matrix products and Bareiss determinants check the
-Smith transforms, and character images k1*t1 + ... + kn*tn summed by the
-group law check coordinate membership.
+search mod a prime; linear dependence scans coefficient shells for the
+kernel of the free coordinates, told empty by the rank of a Fraction
+elimination, not by a kernel basis.  Matrix products and Bareiss
+determinants check the Smith transforms, and character images
+k1*t1 + ... + kn*tn summed by the group law check coordinate membership.
 On a two-component curve the identity branch is told from the oval by a
 rational point of the gap between them, found by bisection until the cubic
 is negative, not by the closed-form x^2 > -a/3 test.
 """
 
+import itertools
 import math
 
 from fractions import Fraction
@@ -241,6 +244,43 @@ def shell_search_decompose(gamma, p, bound: int):
         if gamma.realize(c) == p:
             return c
     return Undecided(bound)
+
+
+def shell_search_linear_dependence(gamma, points, bound: int):
+    """linear_dependence by exact shell search: None when the free coords
+    of the points are independent over Q, else the lexicographically least
+    vector with first nonzero entry positive in the first shell holding a
+    k with k1*c1 + ... + km*cm = 0."""
+    cols = [gamma.decompose(p, bound).free for p in points]
+    m = len(cols)
+    if rational_rank(cols) == m:
+        return None
+    for norm in itertools.count(1):
+        hits = [
+            k
+            for k in shell(m, norm)
+            if next(x for x in k if x) > 0
+            and all(sum(kj * c[i] for kj, c in zip(k, cols)) == 0 for i in range(gamma.rank))
+        ]
+        if hits:
+            return min(hits)
+
+
+def rational_rank(vectors) -> int:
+    """Rank over Q of a list of integer vectors, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows[rank:] if r[col]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        rows.insert(rank, piv)
+        for r in rows[rank + 1 :]:
+            f = r[col] / piv[col]
+            r[:] = [a - f * b for a, b in zip(r, piv)]
+        rank += 1
+    return rank
 
 
 def unbounded_branch_separator(curve) -> Fraction | None:

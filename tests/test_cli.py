@@ -69,6 +69,15 @@ RAW_SPECS = {
         b'{"kind": "curve", "a": "0", "b": "-2", "generators": [], "rank": %s}' % (b"9" * 5000)
     ),
     "nested.json": b"[" * 100_000,
+    # well-formed JSON that is not a valid spec
+    "not-object.json": b"[]",
+    "no-b.json": b'{"kind": "curve", "a": "0", "generators": []}',
+    "bad-kind.json": b'{"kind": "torus", "generators": []}',
+    "gens-not-list.json": b'{"kind": "curve", "a": "0", "b": "-2", "generators": "(3, 5)"}',
+    "gen-not-pair.json": b'{"kind": "curve", "a": "0", "b": "-2", "generators": [["3"]]}',
+    "rank-not-int.json": b'{"kind": "curve", "a": "0", "b": "-2", "generators": [], "rank": "0"}',
+    "label-not-str.json": b'{"kind": "curve", "a": "0", "b": "-2", "generators": [], "label": 7}',
+    "coeff-not-str.json": b'{"kind": "curve", "a": 0, "b": "-2", "generators": []}',
 }
 
 # (0, 0) base with kernels (1, 1) and (1, -1): explains every root of x1 - x3
@@ -522,6 +531,46 @@ TEN_2500 = 10**2500
          "nesting deeper than 200 levels"),
         ("m2.json", ["ml", "solve", "(+ " * 3000 + "x1" + " 1)" * 3000, "--slots", "1"], 2,
          "nesting deeper than 200 levels"),
+        # spec files that parse as JSON but break the spec schema
+        ("not-object.json", ["curve-info"], 2, "spec file must hold a JSON object"),
+        ("no-b.json", ["curve-info"], 2, "curve spec needs coefficient strings 'a' and 'b'"),
+        ("bad-kind.json", ["curve-info"], 2, "spec 'kind' must be"),
+        ("gens-not-list.json", ["curve-info"], 2, "spec 'generators' must be a list"),
+        ("gen-not-pair.json", ["curve-info"], 2, "generator ['3'] is not an [x, y] pair"),
+        ("rank-not-int.json", ["curve-info"], 2, "spec 'rank' must be an integer"),
+        ("label-not-str.json", ["curve-info"], 2, "spec 'label' must be a string"),
+        ("coeff-not-str.json", ["curve-info"], 2, "spec field 'a' must be a canonical rational"),
+        # decompositions that parse as JSON but break the record schema
+        *(
+            ("m2.json", ["ml", "verify", "(- x1 x3)", "--slots", "2", "--decomposition", dec],
+             2, fragment)
+            for dec, fragment in [
+                ('{"pairs": [], "k": []}', "needs exactly the key 'pairs'"),
+                ('{"pairs": {}}', "'pairs' must be a list"),
+                ('{"pairs": [{"base": []}]}', "exactly the keys 'base' and 'k'"),
+                ('{"pairs": [{"base": {}, "k": [1, -1]}]}', "'base' must be a list"),
+                ('{"pairs": [{"base": [], "k": [1, true]}]}', "'k' must be a list of integers"),
+                ('{"pairs": [{"base": [{"free": [0]}], "k": [1, -1]}]}',
+                 "exactly the keys 'free' and 'tors'"),
+                ('{"pairs": [{"base": [{"free": [0.5], "tors": []}], "k": [1, -1]}]}',
+                 "'free' must be a list of integers"),
+                ('{"pairs": [{"base": [{"free": [0], "tors": ["0"]}], "k": [1, -1]}]}',
+                 "'tors' must be a list of integers"),
+            ]
+        ),
+        # flags and operands the argument parser lets through
+        ("m2.json", ["coset", "dke", "--char", "1,x", "--exponent", "2"], 2,
+         "--char must be a comma-separated integer list, got '1,x'"),
+        ("m2.json", ["coset", "combine", "--op", "union", "12", "1:2"], 2,
+         "coset operand must look like K:E, got '12'"),
+        ("m2.json", ["coset", "combine", "--op", "union", "1:x", "1:2"], 2,
+         "coset operand exponent must be an integer, got 'x'"),
+        ("m2.json", ["ml", "solve", "(- x1 x3)", "--slots", "0"], 2, "--slots must be >= 1"),
+        ("m2.json", ["density", "--lo", "0", "--hi", "1", "--bins", "2", "--char", "1"], 2,
+         "--char needs --exponent"),
+        ("m2.json", ["density", "--lo", "0", "--hi", "1", "--bins", "2", "--exponent", "2"], 2,
+         "--exponent needs --char"),
+        ("m2.json", ["coset", "dke", "--char", "1", "--exponent", "0"], 2, "e must be >= 1, got 0"),
     ],
 )
 def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
@@ -531,6 +580,20 @@ def test_error_exit_codes(spec, args, code, fragment, spec_dir, capsys):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert fragment in err
+
+
+def test_eval_without_free_values(spec_dir, capsys):
+    # no --x gives an empty list of free values, for a formula with no x
+    args = ["eval", "(exists-gamma 1 (= y1 3))", "--machine"]
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, []))
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {
+        "command": "eval",
+        "formula": "(exists-gamma 1 (= y1 3))",
+        "x": [],
+        "result": "true",
+        "witnesses": [["(3, -5)"]],
+    }
 
 
 def test_formula_nesting_limit(spec_dir, capsys):

@@ -7,7 +7,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mordell.errors import (
     InputError,
@@ -29,7 +29,11 @@ from mordell.group_core import (
     scalar_mul,
 )
 
-from .oracles import audit_by_torsion_set, shell_search_decompose
+from .oracles import (
+    audit_by_torsion_set,
+    shell_search_decompose,
+    shell_search_linear_dependence,
+)
 
 
 def test_generator_split_and_rank(gamma_p, gamma_torsion, gamma_circle):
@@ -528,6 +532,38 @@ def test_linear_dependence_canonical_sign(gamma_p, curve_m2):
     k = gamma_p.linear_dependence([three_p, p])
     assert k == (1, -3)
     assert k[0] > 0
+
+
+_C01 = make_curve(0, 1)
+_LINDEP = {
+    "c01": GammaSpec(_C01, [point(_C01, 2, 3)]),  # rank 0, Z/6
+    **{name: _REUSED[name] for name in ("m2", "circ", "c17")},
+}
+
+
+@st.composite
+def _lindep_case(draw):
+    """A spec and 1-4 coords from its box |free| <= 3, so that the free
+    coordinate vectors span kernels of every rank the spec allows."""
+    name = draw(st.sampled_from(sorted(_LINDEP)))
+    gamma = _LINDEP[name]
+    free = st.tuples(*[st.integers(-3, 3)] * gamma.rank)
+    tors = st.tuples(*[st.integers(0, d - 1) for d in gamma.torsion_factors])
+    return name, draw(st.lists(st.tuples(free, tors), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lindep_case())
+# kernels of rank 2 on rank 2 and rank 1, of rank 4 on rank 0
+@example(("c17", [((1, 0), ()), ((2, 0), ()), ((0, 1), ()), ((0, 3), ())]))
+@example(("m2", [((1,), ()), ((-2,), ()), ((3,), ())]))
+@example(("circ", [((2,), (1,)), ((0,), (3,)), ((-1,), (0,))]))
+@example(("c01", [((), (1,)), ((), (5,)), ((), (0,)), ((), (2,))]))
+def test_linear_dependence_matches_shell_search(case):
+    name, coords = case
+    gamma = _LINDEP[name]
+    points = [gamma.realize(Coords(f, t)) for f, t in coords]
+    assert gamma.linear_dependence(points, 3) == shell_search_linear_dependence(gamma, points, 3)
 
 
 def test_bounded_points(gamma_p):
