@@ -40,14 +40,14 @@ rewritten.  Output is identical with the cache on or off.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import coset_engine, ml_checker
+# each command is its own process: what only some commands use (formula_eval,
+# ml_checker, coset_engine, hashlib) is imported inside them
 from .errors import ArityCeilingError, InputError, PreconditionError, QuotientCeilingError
 from .exact_num import format_rational, parse_rational
 from .fg_group import (
@@ -57,14 +57,6 @@ from .fg_group import (
     GammaSpec,
     Undecided,
     make_histogram,
-)
-from .formula_eval import (
-    TriBool,
-    eval_formula,
-    format_formula,
-    format_poly,
-    parse,
-    parse_poly,
 )
 from .group_core import (
     Circle,
@@ -82,7 +74,6 @@ from .group_core import (
     scalar_mul,
     torsion_subgroup,
 )
-from .ml_checker import Inconclusive, MLDecomposition, Verified
 
 DEFAULT_HEIGHT_BOUND = 100
 CACHE_FORMAT_VERSION = 2
@@ -166,6 +157,8 @@ class PointCache:
         self.root = root
 
     def _key_path(self, backend, height_bound: int) -> tuple[str, Path]:
+        import hashlib
+
         key = f"v{CACHE_FORMAT_VERSION} {backend!r} h={height_bound}"
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
         return key, self.root / f"points-{digest}.json"
@@ -233,7 +226,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def decomposition_to_json(d: MLDecomposition) -> dict:
+def decomposition_to_json(d) -> dict:
     return {
         "pairs": [
             {"base": [_coords_json(c) for c in base], "k": list(k)}
@@ -242,7 +235,9 @@ def decomposition_to_json(d: MLDecomposition) -> dict:
     }
 
 
-def decomposition_from_json(obj) -> MLDecomposition:
+def decomposition_from_json(obj):
+    from .ml_checker import MLDecomposition
+
     if not (isinstance(obj, dict) and set(obj) == {"pairs"}):
         raise InputError("decomposition JSON needs exactly the key 'pairs'")
     pairs = obj["pairs"]
@@ -323,6 +318,8 @@ def cmd_point(args, gamma: GammaSpec) -> dict:
 
 
 def cmd_coset(args, gamma: GammaSpec) -> dict:
+    from . import coset_engine
+
     if args.coset_op == "combine":
         operands = [_operand_union(gamma, text) for text in args.operand]
         if args.op == "complement":
@@ -355,6 +352,8 @@ def cmd_coset(args, gamma: GammaSpec) -> dict:
 
 def _operand_union(gamma: GammaSpec, text: str):
     """Operand syntax K:E, the kernel union of character K at exponent E."""
+    from . import coset_engine
+
     head, sep, tail = text.partition(":")
     if not sep:
         raise InputError(f"coset operand must look like K:E, got {text!r}")
@@ -367,6 +366,9 @@ def _operand_union(gamma: GammaSpec, text: str):
 
 
 def cmd_ml(args, gamma: GammaSpec) -> dict:
+    from . import ml_checker
+    from .formula_eval import format_poly, parse_poly
+
     n = args.slots
     if n < 1:
         raise InputError("--slots must be >= 1")
@@ -383,14 +385,14 @@ def cmd_ml(args, gamma: GammaSpec) -> dict:
     elif args.ml_op == "verify":
         d = _read_decomposition(args.decomposition)
         verdict = ml_checker.verify_decomposition(gamma, p, n, d, args.bound)
-        if isinstance(verdict, Verified):
+        if isinstance(verdict, ml_checker.Verified):
             record["verdict"] = "verified"
         else:
             tup = _printed(verdict.points)
             record.update(verdict="counterexample", direction=verdict.direction, tuple=tup)
     else:
         out = ml_checker.suggest_decomposition(gamma, p, n, args.bound)
-        if isinstance(out, Inconclusive):
+        if isinstance(out, ml_checker.Inconclusive):
             unexplained = [_printed(t) for t in out.unexplained]
             record.update(verdict="inconclusive", reason=out.reason, unexplained=unexplained)
         else:
@@ -398,7 +400,7 @@ def cmd_ml(args, gamma: GammaSpec) -> dict:
     return record
 
 
-def _read_decomposition(text: str) -> MLDecomposition:
+def _read_decomposition(text: str):
     if text.startswith("@"):
         try:
             text = Path(text[1:]).read_text(encoding="utf-8")
@@ -408,6 +410,8 @@ def _read_decomposition(text: str) -> MLDecomposition:
 
 
 def cmd_eval(args, gamma: GammaSpec) -> dict:
+    from .formula_eval import eval_formula, format_formula, parse
+
     # every polynomial is built at the largest arity, so it counts first
     f = parse(args.formula, max_arity=gamma.ceiling)
     if args.x is None or args.x.strip() == "":
@@ -434,6 +438,8 @@ def cmd_density(args, gamma: GammaSpec) -> dict:
     if args.char is not None:
         if args.exponent is None:
             raise InputError("--char needs --exponent")
+        from . import coset_engine
+
         k = _parse_int_list(args.char, "--char")
         u = coset_engine.dke(gamma, k, args.exponent)
         hist = coset_engine.density_sample(gamma, u, lo, hi, args.height, args.bins)
@@ -559,6 +565,8 @@ def _solve_text(rec):
 
 
 def _verify_text(rec):
+    from .ml_checker import Verified
+
     if rec["verdict"] == "verified":
         yield str(Verified(rec["bound"]))
     else:
@@ -566,6 +574,8 @@ def _verify_text(rec):
 
 
 def _suggest_text(rec):
+    from .ml_checker import Inconclusive
+
     if rec["verdict"] == "inconclusive":
         yield str(Inconclusive(rec["reason"]))
         for t in rec["unexplained"]:
@@ -580,6 +590,8 @@ def _suggest_text(rec):
 
 
 def _eval_text(rec):
+    from .formula_eval import TriBool
+
     if rec.get("witnesses"):
         wit = "; ".join(_tuple_text(block) for block in rec["witnesses"])
         yield f"true (witness: {wit})"

@@ -6,7 +6,9 @@ k1*t1 + ... + kn*tn.  A CosetUnion is a union of classes of (l*Gamma)^n in
 Gamma^n, given by explicit residue vectors in (Gamma/l*Gamma)^n, and it is
 exactly the set it lists: dke finds its classes by enumerating the finite
 quotient, and the set operations rescale both operands to one modulus, which
-loses nothing.
+loses nothing.  in_coset decides whether a tuple, given by its coordinates,
+lies in a coset base + ker(k); ml_checker's decompositions are finite unions
+of such cosets.
 
 Every quotient and residue enumeration here, every decomposition behind
 member, and density_sample's bin count are bounded by the group's one
@@ -21,13 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .fg_group import (
     DEFAULT_COEFF_BOUND,
+    Coords,
     GammaSpec,
     Histogram,
     Undecided,
@@ -39,6 +41,7 @@ __all__ = [
     "Character",
     "CosetUnion",
     "dke",
+    "in_coset",
     "full_union",
     "rescale",
     "union",
@@ -65,36 +68,49 @@ def _check_character(k: Sequence[int]) -> Character:
     return k
 
 
-@dataclass(frozen=True)
-class CosetUnion:
-    """A finite union of residue classes of (l*Gamma)^n inside Gamma^n.
-
-    The union is exactly the set of tuples whose residues it lists.
-    residues are kept sorted and duplicate-free, so equal sets compare
-    equal.
-    """
-
-    gamma: GammaSpec = field(compare=False)
+class _CosetUnionFields(NamedTuple):
+    gamma: GammaSpec
     n: int
     modulus: int
     residues: tuple[Residue, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class CosetUnion(_CosetUnionFields):
+    """A finite union of residue classes of (l*Gamma)^n inside Gamma^n.
+
+    The union is exactly the set of tuples whose residues it lists.
+    residues are kept sorted and duplicate-free, so equal sets compare
+    equal.  Equality and the hash leave gamma out.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gamma, n, modulus, residues):
+        if n < 1:
             raise InputError("arity must be >= 1")
-        if self.modulus < 1:
+        if modulus < 1:
             raise InputError("modulus must be >= 1")
-        shape = (self.modulus,) * self.gamma.rank + tuple(
-            math.gcd(self.modulus, d) for d in self.gamma.torsion_factors
+        shape = (modulus,) * gamma.rank + tuple(
+            math.gcd(modulus, d) for d in gamma.torsion_factors
         )
-        for res in self.residues:
-            if len(res) != self.n:
-                raise InputError(f"residue {res} has arity {len(res)}, expected {self.n}")
+        for res in residues:
+            if len(res) != n:
+                raise InputError(f"residue {res} has arity {len(res)}, expected {n}")
             for slot in res:
                 if len(slot) != len(shape) or any(
                     not (0 <= v < s) for v, s in zip(slot, shape)
                 ):
                     raise InputError(f"residue slot {slot} is not reduced mod {shape}")
+        return super().__new__(cls, gamma, n, modulus, residues)
+
+    def __eq__(self, other):
+        return type(other) is CosetUnion and self[1:] == other[1:]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[1:])
 
     def residue_set(self) -> frozenset[Residue]:
         return frozenset(self.residues)
@@ -141,6 +157,25 @@ def dke(gamma: GammaSpec, k: Sequence[int], e: int) -> CosetUnion:
         ):
             hits.append(t)
     return _make(gamma, n, e, hits)
+
+
+def in_coset(
+    gamma: GammaSpec,
+    k: Sequence[int],
+    base: Sequence[Coords],
+    coords: Sequence[Coords],
+) -> bool:
+    """Whether the tuple with these coords lies in base + ker(k): the
+    combination k1*(c1 - b1) + ... + kn*(cn - bn) is zero in every free
+    coordinate and zero mod d_j in every torsion coordinate.  Coordinates
+    are trusted to fit gamma (see GammaSpec.check_coords)."""
+    for m in range(gamma.rank):
+        if sum(ki * (c.free[m] - b.free[m]) for ki, c, b in zip(k, coords, base)):
+            return False
+    for j, d in enumerate(gamma.torsion_factors):
+        if sum(ki * (c.torsion[j] - b.torsion[j]) for ki, c, b in zip(k, coords, base)) % d:
+            return False
+    return True
 
 
 def rescale(u: CosetUnion, modulus: int) -> CosetUnion:

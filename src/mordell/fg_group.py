@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, PreconditionError, QuotientCeilingError, SpecValidationError
 from . import group_core
@@ -35,15 +34,15 @@ from .group_core import (
     scalar_mul,
     validate_backend,
 )
-from .intlinalg import ZLattice, kernel_basis
+from .records import record
 
 DEFAULT_COEFF_BOUND = 16
 DEFAULT_AUDIT_BOUND = 8
 DEFAULT_QUOTIENT_CEILING = 10**6
 
 
-@dataclass(frozen=True)
-class Coords:
+@record
+class Coords(NamedTuple):
     """Coordinates of a group element: integer coefficients on the free
     generators plus one residue per torsion invariant factor."""
 
@@ -59,8 +58,8 @@ class Coords:
         return max((abs(c) for c in self.free), default=0)
 
 
-@dataclass(frozen=True)
-class Undecided:
+@record
+class Undecided(NamedTuple):
     """Search exhausted the coefficient box without a hit.  Not a 'no':
     membership beyond the bound is simply not known."""
 
@@ -70,8 +69,8 @@ class Undecided:
         return f"undecided(bound={self.bound})"
 
 
-@dataclass(frozen=True)
-class QuotientDesc:
+@record
+class QuotientDesc(NamedTuple):
     """Structure of Gamma/l*Gamma.
 
     `shape` lists the order of each coordinate's image: l for every free
@@ -92,8 +91,8 @@ class QuotientDesc:
         yield from itertools.product(*(range(f) for f in self.shape))
 
 
-@dataclass(frozen=True)
-class Histogram:
+@record
+class Histogram(NamedTuple):
     lo: Fraction
     hi: Fraction
     counts: tuple[int, ...]
@@ -420,6 +419,8 @@ class GammaSpec:
         least k whose first nonzero entry is positive.  Such k form the kernel
         lattice of the free coordinate matrix, walked in the box of its
         shortest basis vector."""
+        from .intlinalg import ZLattice, kernel_basis
+
         if not points:
             raise InputError("need at least one point")
         cols = []

@@ -23,9 +23,8 @@ when it puts the identity in a slot whose y-variables the body mentions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ArityCeilingError, InputError
 from .exact_num import (
@@ -38,6 +37,7 @@ from .exact_num import (
 )
 from .fg_group import DEFAULT_COEFF_BOUND, GammaSpec
 from .group_core import GroupPoint, affine_values, is_identity, slots_used
+from .records import record
 
 __all__ = [
     "ParseError",
@@ -65,8 +65,8 @@ class ParseError(InputError):
 # -- AST -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cmp:
+@record
+class Cmp(NamedTuple):
     """Atomic comparison of two polynomials; op is '=', '<' or '<='."""
 
     op: str
@@ -86,8 +86,8 @@ class Cmp:
         return frozenset(self.lhs.used_variables() | self.rhs.used_variables())
 
 
-@dataclass(frozen=True)
-class QAnd:
+@record
+class QAnd(NamedTuple):
     parts: tuple
 
     def evaluate(self, values: Sequence) -> bool:
@@ -97,8 +97,8 @@ class QAnd:
         return frozenset().union(*(p.used_vars() for p in self.parts))
 
 
-@dataclass(frozen=True)
-class QOr:
+@record
+class QOr(NamedTuple):
     parts: tuple
 
     def evaluate(self, values: Sequence) -> bool:
@@ -108,8 +108,8 @@ class QOr:
         return frozenset().union(*(p.used_vars() for p in self.parts))
 
 
-@dataclass(frozen=True)
-class QNot:
+@record
+class QNot(NamedTuple):
     part: object
 
     def evaluate(self, values: Sequence) -> bool:
@@ -122,8 +122,8 @@ class QNot:
 QFFormula = Cmp | QAnd | QOr | QNot
 
 
-@dataclass(frozen=True)
-class Block:
+@record
+class Block(NamedTuple):
     """Existential over n group elements; body arity is s + 2n."""
 
     n: int
@@ -133,14 +133,14 @@ class Block:
 FormulaNode = QFFormula | Block
 
 
-@dataclass(frozen=True)
-class Formula:
+@record
+class Formula(NamedTuple):
     root: FormulaNode
     free_arity: int
 
 
-@dataclass(frozen=True)
-class TriBool:
+@record
+class TriBool(NamedTuple):
     """Three-valued verdict.  True carries one witness tuple per confirmed
     block (re-checkable exactly); Unknown carries the search bound."""
 
@@ -174,8 +174,8 @@ def _tb_unknown(bound: int) -> TriBool:
 # -- tokenizer and reader --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Tok:
+@record
+class _Tok(NamedTuple):
     text: str
     line: int
     col: int
@@ -207,8 +207,8 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-@dataclass(frozen=True)
-class _Node:
+@record
+class _Node(NamedTuple):
     """Raw s-expression: either an atom (items is None) or a list."""
 
     text: str | None

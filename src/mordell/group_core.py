@@ -11,27 +11,30 @@ operation, so it never appears as an Affine value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .exact_num import _as_fraction, coprime_fraction, format_rational, parse_rational
+from .records import record
 
 # -- backends ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Curve:
+@record
+class Curve(NamedTuple):
     """y^2 = x^3 + a*x + b; must be nonsingular (4a^3 + 27b^2 != 0)."""
 
     a: Fraction
     b: Fraction
 
 
-@dataclass(frozen=True)
-class Circle:
+@record
+class Circle(NamedTuple):
     """x^2 + y^2 = 1 under (x1,y1)*(x2,y2) = (x1x2 - y1y2, x1y2 + x2y1)."""
+
+    def __bool__(self):  # an empty tuple would be false
+        return True
 
 
 Backend = Curve | Circle
@@ -82,8 +85,8 @@ class _Identity:
 IDENTITY = _Identity()
 
 
-@dataclass(frozen=True)
-class Affine:
+@record
+class Affine(NamedTuple):
     x: Fraction
     y: Fraction
 
@@ -417,8 +420,8 @@ def is_torsion(backend: Backend, p: GroupPoint) -> bool:
 TORSION_EXPONENT = 27720
 
 
-@dataclass(frozen=True)
-class Reduction:
+@record
+class Reduction(NamedTuple):
     """The group law mod a prime ell of good reduction, on the integral model.
 
     Reduction is a homomorphism there (Silverman VII.3), so a point of order
@@ -504,8 +507,8 @@ def good_reduction(
         ell += 4
 
 
-@dataclass(frozen=True)
-class TorsionGroup:
+@record
+class TorsionGroup(NamedTuple):
     """A finite abelian group given by invariant factors d1 | d2 | ... and
     matching generators (generator j has exact order invariant_factors[j]).
     The trivial group has empty factors and generators."""

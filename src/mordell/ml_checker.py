@@ -16,9 +16,11 @@ bound it was checked at and promises nothing beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+# bench/tracer.py finds coset_engine in sys.modules only through this import:
+# the library workloads load this module but never coset_engine itself
+from .coset_engine import in_coset
 from .errors import InputError
 from .exact_num import MultiPoly, poly_eval
 from .fg_group import Coords, DEFAULT_COEFF_BOUND, GammaSpec
@@ -30,6 +32,7 @@ from .group_core import (
     slots_used,
 )
 from .intlinalg import ZLattice, kernel_basis
+from .records import record
 
 __all__ = [
     "MLDecomposition",
@@ -39,7 +42,6 @@ __all__ = [
     "Verdict",
     "MISSING_FROM_UNION",
     "NOT_A_SOLUTION",
-    "in_coset",
     "solutions_bounded",
     "verify_decomposition",
     "suggest_decomposition",
@@ -49,33 +51,38 @@ MISSING_FROM_UNION = "missing-from-union"
 NOT_A_SOLUTION = "not-a-solution"
 
 
-@dataclass(frozen=True)
-class MLDecomposition:
+class _MLDecompositionFields(NamedTuple):
+    pairs: tuple[tuple[tuple[Coords, ...], tuple[int, ...]], ...]
+
+
+@record
+class MLDecomposition(_MLDecompositionFields):
     """A claimed finite-union shape for the solution set: each pair is a
     base tuple (as per-slot Coords) and one integer character; the claim is
     that solutions are exactly the tuples agreeing with some base under its
     character."""
 
-    pairs: tuple[tuple[tuple[Coords, ...], tuple[int, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for base, k in self.pairs:
+    def __new__(cls, pairs):
+        for base, k in pairs:
             if len(base) != len(k):
                 raise InputError(
                     f"base arity {len(base)} does not match character {k}"
                 )
+        return super().__new__(cls, pairs)
 
 
-@dataclass(frozen=True)
-class Verified:
+@record
+class Verified(NamedTuple):
     bound: int
 
     def __str__(self):
         return f"verified(bound={self.bound})"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+@record
+class Counterexample(NamedTuple):
     points: tuple[GroupPoint, ...]
     direction: str  # MISSING_FROM_UNION or NOT_A_SOLUTION
 
@@ -84,8 +91,8 @@ class Counterexample:
         return f"counterexample: {self.direction} ({inner})"
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+@record
+class Inconclusive(NamedTuple):
     reason: str
     unexplained: tuple[tuple[GroupPoint, ...], ...] = ()
 
@@ -94,25 +101,6 @@ class Inconclusive:
 
 
 Verdict = Verified | Counterexample | Inconclusive
-
-
-def in_coset(
-    gamma: GammaSpec,
-    k: Sequence[int],
-    base: Sequence[Coords],
-    coords: Sequence[Coords],
-) -> bool:
-    """Whether the tuple with these coords lies in base + ker(k): the
-    combination k1*(c1 - b1) + ... + kn*(cn - bn) is zero in every free
-    coordinate and zero mod d_j in every torsion coordinate.  Coordinates
-    are trusted to fit gamma (see GammaSpec.check_coords)."""
-    for m in range(gamma.rank):
-        if sum(ki * (c.free[m] - b.free[m]) for ki, c, b in zip(k, coords, base)):
-            return False
-    for j, d in enumerate(gamma.torsion_factors):
-        if sum(ki * (c.torsion[j] - b.torsion[j]) for ki, c, b in zip(k, coords, base)) % d:
-            return False
-    return True
 
 
 def _classify(

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -983,6 +984,58 @@ def test_module_entry_point(spec_dir):
     assert proc.returncode == 0
     assert proc.stdout == "(129/100, -383/1000)\n"
     assert proc.stderr == ""
+
+
+# a fresh interpreter for each case: the in-process tests share one, in which
+# every module is loaded by the time most of them run
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
+@pytest.mark.parametrize("name,spec,args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_machine_golden_in_a_fresh_process(name, spec, args, spec_dir):
+    # a command that imports its modules itself must still find them all
+    proc = _fresh_python(["-m", "mordell.cli", *_argv(spec_dir, spec, args, ["--machine"])])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / f"{name}.machine.jsonl").read_text()
+
+
+# modules only some commands need (hashlib: axioms --cache-dir), and one none needs
+_OPTIONAL = ["mordell.formula_eval", "mordell.ml_checker", "mordell.coset_engine", "hashlib", "dataclasses"]
+
+# run `mordell ARGS`, if any, in a fresh interpreter, then print which of the
+# given modules it loaded beyond those loaded at interpreter start-up
+_PROBE = """
+import json, sys
+before = set(sys.modules)
+watched = json.loads(sys.argv[1])
+from mordell import cli
+if len(sys.argv) > 2:
+    assert cli.main(sys.argv[2:]) == 0
+print(json.dumps(sorted(m for m in watched if m in sys.modules and m not in before)))
+"""
+
+
+@pytest.mark.parametrize(
+    "args,loaded",
+    [
+        ([], []),
+        (["curve-info"], []),
+        (["point", "add", "(3, 5)", "(3, 5)"], []),
+        (["density", "--lo", "0", "--hi", "10", "--bins", "4", "--height", "150"], []),
+        (["axioms", "--n-max", "1", "--height", "10"], []),
+        (["eval", "(exists-gamma 1 (= x1 y1))", "--x", "3"], ["mordell.formula_eval"]),
+    ],
+    ids=["import", "curve-info", "point-add", "density", "axioms", "eval"],
+)
+def test_commands_import_only_what_they_use(args, loaded, spec_dir):
+    argv = [*args, "--spec", str(spec_dir / "m2.json"), "--machine"] if args else []
+    proc = _fresh_python(["-c", _PROBE, json.dumps(_OPTIONAL), *argv], check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
 
 
 @pytest.mark.skipif(shutil.which("mordell") is None, reason="console script not on PATH")

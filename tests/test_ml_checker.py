@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from mordell import ml_checker
+from mordell.coset_engine import in_coset
 from mordell.errors import InputError
 from mordell.exact_num import poly_eval
 from mordell.fg_group import Coords, GammaSpec
@@ -22,7 +23,6 @@ from mordell.ml_checker import (
     MLDecomposition,
     NOT_A_SOLUTION,
     Verified,
-    in_coset,
     solutions_bounded,
     suggest_decomposition,
     verify_decomposition,

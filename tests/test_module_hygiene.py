@@ -4,7 +4,11 @@ Every module-level import of a module in src/mordell, the package
 __init__ included, is used in that module, and every __all__ entry is
 defined there: an unused import is dead weight, and a name exported from
 somewhere else hides where it lives.  `from __future__` imports are exempt.
-A name listed in __all__ does not count as a use.
+A name listed in __all__ does not count as a use.  An import inside a
+function is used in that function: commands import what only they need
+there, and such an import must not outlive its use.  No module imports
+dataclasses, whose import and class generation cost every process start;
+the records are typing.NamedTuple classes (mordell.records).
 """
 
 import ast
@@ -28,17 +32,18 @@ def _top_level(body):
                 yield from _top_level(handler.body)
 
 
+def _bound(node) -> list[str]:
+    """Names an import statement binds; none for `from __future__`."""
+    if isinstance(node, ast.ImportFrom):
+        return [] if node.module == "__future__" else [a.asname or a.name for a in node.names]
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    return []
+
+
 def _imported(tree) -> dict[str, int]:
     """Bound name -> line of each module-level import."""
-    out = {}
-    for node in _top_level(tree.body):
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                out[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                out[alias.asname or alias.name.split(".")[0]] = node.lineno
-    return out
+    return {name: node.lineno for node in _top_level(tree.body) for name in _bound(node)}
 
 
 def _defined(tree) -> set[str]:
@@ -75,6 +80,32 @@ def test_module_imports_are_used(path):
     used = _loaded(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_function_imports_are_used_in_their_function(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = [
+        f"{name} in {fn.name} (line {node.lineno})"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        for name in _bound(node)
+        if name not in _loaded(fn)
+    ]
+    assert not unused, f"{path.name}: unused function-level imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_does_not_import_dataclasses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert not lines, f"{path.name}: imports dataclasses on lines {lines}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
