@@ -190,24 +190,11 @@ def rescale(u: CosetUnion, modulus: int) -> CosetUnion:
     u.gamma.check_ceiling(len(u.residues) * per_point**u.n, "residue enumeration")
     if modulus == u.modulus:
         return u
-    # preimage of v under Z/new -> Z/old is {v + old*t}, coordinatewise
-    expansions = [
-        range(ns // os) for os, ns in zip(old.shape, new.shape)
-    ]
-    out = []
-    for res in u.residues:
-        lifted_per_point = []
-        for vec in res:
-            lifted_per_point.append(
-                [
-                    tuple(
-                        v + os * t
-                        for v, os, t in zip(vec, old.shape, steps)
-                    )
-                    for steps in itertools.product(*expansions)
-                ]
-            )
-        out.extend(itertools.product(*lifted_per_point))
+    def lifts(vec):
+        # the preimage of v under Z/ns -> Z/os is v, v + os, ... below ns, coordinatewise
+        return itertools.product(*map(range, vec, new.shape, old.shape))
+
+    out = [lift for res in u.residues for lift in itertools.product(*map(lifts, res))]
     return _make(u.gamma, u.n, modulus, out)
 
 

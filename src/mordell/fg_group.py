@@ -11,6 +11,7 @@ and never proved.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -335,9 +336,9 @@ class GammaSpec:
         )
 
         def tuples():
-            slot = [(c, self.realize(c)) for c in self.iter_coords(bound)]
-            for combo in itertools.product(slot, repeat=n):
-                yield tuple(c for c, _ in combo), tuple(p for _, p in combo)
+            coords = list(self.iter_coords(bound))
+            points = [self.realize(c) for c in coords]
+            yield from zip(itertools.product(coords, repeat=n), itertools.product(points, repeat=n))
 
         return tuples()
 
@@ -358,14 +359,10 @@ class GammaSpec:
             raise InputError("coefficient bound must be >= 0")
         group_core._require_on_variety(self.backend, p)
         r, factors = self.rank, self.torsion_factors
-        # bisect for m*, -1 when not even shell 0 fits
-        top, hi = -1, bound
-        while top < hi:
-            mid = (top + hi + 1) // 2
-            if (2 * mid + 1) ** r * math.prod(factors) <= self.ceiling:
-                top = mid
-            else:
-                hi = mid - 1
+        # m*, -1 when not even shell 0 fits
+        top = bisect.bisect_right(
+            range(bound + 1), self.ceiling, key=lambda m: (2 * m + 1) ** r * math.prod(factors)
+        ) - 1
         if top >= 0:
             ranges = [(-top, top)] * r + [(0, d - 1) for d in factors]
             for c in self._matches(self._images, ranges, tuple(red.point(p) for red in self._reds)):

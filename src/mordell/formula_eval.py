@@ -22,6 +22,8 @@ when it puts the identity in a slot whose y-variables the body mentions.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -171,40 +173,11 @@ def _tb_unknown(bound: int) -> TriBool:
     return TriBool("unknown", (), bound)
 
 
-# -- tokenizer and reader --------------------------------------------------------
+# -- reader ----------------------------------------------------------------------
 
-
-@record
-class _Tok(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in " \t\r\n()":
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-    return toks
+# a newline, a parenthesis or an atom; spaces, tabs and carriage returns
+# separate tokens and match nothing
+_TOKEN_RE = re.compile(r"\n|[()]|[^ \t\r\n()]+")
 
 
 @record
@@ -226,45 +199,46 @@ class _Node(NamedTuple):
 MAX_NESTING = 200
 
 
-def _read(toks: list[_Tok], pos: int, depth: int = 0) -> tuple[_Node, int]:
-    if pos >= len(toks):
-        last = toks[-1] if toks else _Tok("", 1, 1)
-        raise ParseError("unexpected end of input", last.line, last.col)
-    t = toks[pos]
-    if t.text == "(":
-        if depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(toks):
-                raise ParseError("missing ')'", t.line, t.col)
-            if toks[pos].text == ")":
-                return _Node(None, tuple(items), t.line, t.col), pos + 1
-            node, pos = _read(toks, pos, depth + 1)
-            items.append(node)
-    if t.text == ")":
-        raise ParseError("unexpected ')'", t.line, t.col)
-    return _Node(t.text, None, t.line, t.col), pos + 1
-
-
 def _read_all(text: str) -> _Node:
-    toks = _tokenize(text)
-    if not toks:
+    """The one s-expression of text.  items collects the innermost open
+    list, or the top level; each '(' pushes the enclosing items with its
+    own line and column."""
+    items: list[_Node] = []
+    stack: list[tuple[list[_Node], int, int]] = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line, line_start = line + 1, m.end()
+            continue
+        col = m.start() - line_start + 1
+        if items and not stack:
+            raise ParseError(f"trailing input {tok!r}", line, col)
+        if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
+            stack.append((items, line, col))
+            items = []
+        elif tok == ")":
+            if not stack:
+                raise ParseError("unexpected ')'", line, col)
+            outer, open_line, open_col = stack.pop()
+            outer.append(_Node(None, tuple(items), open_line, open_col))
+            items = outer
+        else:
+            items.append(_Node(tok, None, line, col))
+    if stack:
+        raise ParseError("missing ')'", *stack[-1][1:])
+    if not items:
         raise ParseError("empty input", 1, 1)
-    node, pos = _read(toks, 0)
-    if pos != len(toks):
-        t = toks[pos]
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return node
+    return items[0]
 
 
 # -- semantic analysis ------------------------------------------------------------
 
 _VAR_RE = re.compile(r"([xy])(\d+)")
 _INT_RE = re.compile(r"\d+")
-_QF_HEADS = ("=", "<", "<=", "and", "or", "not")
-_POLY_HEADS = ("+", "*", "-", "^")
+_FOLDS = {"+": operator.add, "*": operator.mul}
 
 
 def _head(node: _Node) -> str | None:
@@ -346,20 +320,10 @@ def _build_poly(node: _Node, arity: int, s: int) -> MultiPoly:
             ) from None
     head = _head(node)
     args = node.items[1:]
-    if head == "+":
+    if head in _FOLDS:
         if not args:
-            raise ParseError("(+ ...) needs at least one argument", node.line, node.col)
-        acc = _build_poly(args[0], arity, s)
-        for a in args[1:]:
-            acc = acc + _build_poly(a, arity, s)
-        return acc
-    if head == "*":
-        if not args:
-            raise ParseError("(* ...) needs at least one argument", node.line, node.col)
-        acc = _build_poly(args[0], arity, s)
-        for a in args[1:]:
-            acc = acc * _build_poly(a, arity, s)
-        return acc
+            raise ParseError(f"({head} ...) needs at least one argument", node.line, node.col)
+        return functools.reduce(_FOLDS[head], (_build_poly(a, arity, s) for a in args))
     if head == "-":
         if len(args) != 2:
             raise ParseError("(- ...) takes exactly two arguments", node.line, node.col)

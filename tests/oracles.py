@@ -1,22 +1,29 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the production code paths: the Smith form oracle
-diagonalizes with explicit elementary operations and never tracks the
-transforms; the torsion oracles find finite-order points by exhaustion,
-once over an enumerated point list and once over the classical integral
-candidates (y = 0 or y^2 dividing the discriminant term); multiples k*P
-come from binary double-and-add over the chord-tangent law, not from
+Each oracle replaces the search or screen under test with a plainer one:
+the Smith form oracle diagonalizes with explicit elementary operations and
+never tracks the transforms; the torsion oracles find finite-order points by
+exhaustion, once over an enumerated point list and once over the classical
+integral candidates (y = 0 or y^2 dividing the discriminant term); multiples
+k*P come from binary double-and-add over the chord-tangent law, not from
 division values; the independence audit tests every sum of its box against
 the full torsion subgroup, with no screen mod a prime; decompose is an
 exact shell search that realizes every coefficient vector in turn, with no
 search mod a prime; linear dependence scans coefficient shells for the
 kernel of the free coordinates, told empty by the rank of a Fraction
-elimination, not by a kernel basis.  Matrix products and Bareiss
-determinants check the Smith transforms, and character images
-k1*t1 + ... + kn*tn summed by the group law check coordinate membership.
+elimination, not by a kernel basis.  The audit and linear dependence
+oracles filter each coefficient shell out of its whole box instead of
+taking it from fg_group.shell.  Matrix products and Bareiss determinants
+check the Smith transforms, and character images k1*t1 + ... + kn*tn
+summed by the group law check coordinate membership.
 On a two-component curve the identity branch is told from the oval by a
 rational point of the gap between them, found by bisection until the cubic
 is negative, not by the closed-form x^2 > -a/3 test.
+
+What they do share with the production code: the group law (_add_raw, add,
+negate, scalar_mul), enumerate_rational_points, torsion_subgroup and the
+torsion closure _span, and GammaSpec's realize, iter_coords and decompose
+(the linear dependence oracle decomposes its points first).
 """
 
 import itertools
@@ -24,7 +31,7 @@ import math
 
 from fractions import Fraction
 
-from mordell.fg_group import Undecided, _span, shell
+from mordell.fg_group import Undecided, _span
 from mordell.group_core import (
     IDENTITY,
     _add_raw,
@@ -217,6 +224,16 @@ def double_and_add_mul(backend, k: int, p):
     return acc
 
 
+def _shell(rank: int, m: int):
+    """The integer vectors of length rank and max-norm exactly m, in
+    lexicographic order: the box of max-norm m, filtered."""
+    return (
+        k
+        for k in itertools.product(range(-m, m + 1), repeat=rank)
+        if max(map(abs, k), default=0) == m
+    )
+
+
 def audit_by_torsion_set(backend, generators, audit_bound: int = 8):
     """The independence audit summed exactly over its whole box.
 
@@ -227,7 +244,7 @@ def audit_by_torsion_set(backend, generators, audit_bound: int = 8):
     free = [g for g in generators if brute_point_order(backend, g, cap=12) is None]
     torsion = set(_span(backend, torsion_subgroup(backend).generators))
     for m in range(1, audit_bound + 1):
-        for k in shell(len(free), m):
+        for k in _shell(len(free), m):
             s = IDENTITY
             for ki, g in zip(k, free):
                 s = _add_raw(backend, s, double_and_add_mul(backend, ki, g))
@@ -258,7 +275,7 @@ def shell_search_linear_dependence(gamma, points, bound: int):
     for norm in itertools.count(1):
         hits = [
             k
-            for k in shell(m, norm)
+            for k in _shell(m, norm)
             if next(x for x in k if x) > 0
             and all(sum(kj * c[i] for kj, c in zip(k, cols)) == 0 for i in range(gamma.rank))
         ]

@@ -413,6 +413,23 @@ def test_suggest_verify_round_trip(spec_dir, capsys, tmp_path):
     assert out2 == out
 
 
+def test_suggest_full_rank_cluster_takes_the_zero_character(spec_dir, capsys):
+    # every tuple solves (- x1 x1), so the difference lattice has full rank
+    # and only the zero character is left to cut the cluster
+    base = ["--spec", str(spec_dir / "m2.json")]
+    args = ["(- x1 x1)", "--slots", "1", "--bound", "2"]
+    rc, out, _ = run_cli(capsys, ["ml", "suggest"] + args + ["--machine"] + base)
+    assert rc == 0
+    record = json.loads(out)
+    assert record["verdict"] == "decomposition"
+    assert record["pairs"] == [{"base": [{"free": [0], "tors": []}], "k": [0]}]
+
+    dec = json.dumps({"pairs": record["pairs"]})
+    rc, out, _ = run_cli(capsys, ["ml", "verify"] + args + ["--decomposition", dec] + base)
+    assert rc == 0
+    assert out == "verified(bound=2)\n"
+
+
 def test_unreadable_decomposition_file(spec_dir, capsys, tmp_path):
     path = tmp_path / "dec.json"
     path.write_bytes(b'{"pairs": "\xff"}')

@@ -83,6 +83,24 @@ def test_parse_error_position():
     assert str(exc.value).startswith("line 2, column 11: ")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (")", "line 1, column 1: unexpected ')'"),
+        ("(and (= x1 0)\n  (= x1", "line 2, column 3: missing ')'"),
+        ("(= (* ) 0)", "line 1, column 4: (* ...) needs at least one argument"),
+        ("(= (^ x1) 0)", "line 1, column 4: (^ ...) takes a base and an exponent"),
+        ("(= x1)", "line 1, column 1: (= ...) takes exactly two polynomials"),
+        ("(and)", "line 1, column 1: (and ...) needs at least one argument"),
+        ("(\n\t(= x1 0)) \f", "line 2, column 12: trailing input '\\x0c'"),
+    ],
+)
+def test_parse_error_message_and_position(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_parse_poly_rejects_comparisons():
     with pytest.raises(InputError):
         parse_poly("(= x1 0)")
