@@ -47,7 +47,7 @@ from fractions import Fraction
 from pathlib import Path
 
 # each command is its own process: what only some commands use (formula_eval,
-# ml_checker, coset_engine, hashlib) is imported inside them
+# ml_checker, coset_engine) is imported inside them
 from .errors import ArityCeilingError, InputError, PreconditionError, QuotientCeilingError
 from .exact_num import format_rational, parse_rational
 from .fg_group import (
@@ -157,11 +157,11 @@ class PointCache:
         self.root = root
 
     def _key_path(self, backend, height_bound: int) -> tuple[str, Path]:
-        import hashlib
+        import binascii  # loaded at start-up, unlike hashlib and its OpenSSL
 
         key = f"v{CACHE_FORMAT_VERSION} {backend!r} h={height_bound}"
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
-        return key, self.root / f"points-{digest}.json"
+        # load checks the key, so two keys that share a CRC-32 only miss
+        return key, self.root / f"points-{binascii.crc32(key.encode('utf-8')):08x}.json"
 
     def load(self, backend, height_bound: int):
         if self.root is None:
@@ -481,13 +481,17 @@ def cmd_axioms(args, gamma: GammaSpec) -> dict:
     ]
     hit = sum(1 for c in make_histogram(seen, lo, hi, args.bins).counts if c)
     checks = []
+    # one batch: over the ceiling, the first q that misses raises, as at n = 1
+    found = list(gamma.decompose_many(points, args.bound))
     for n in range(1, args.n_max + 1):
+        multiples = found if n == 1 else gamma.decompose_many(
+            (scalar_mul(backend, n, q) for q in points), args.bound
+        )
         # q with n*q in Gamma but q itself undecided: evidence against purity
         purity = [
             format_point(q)
-            for q in points
-            if not isinstance(gamma.decompose(scalar_mul(backend, n, q), args.bound), Undecided)
-            and isinstance(gamma.decompose(q, args.bound), Undecided)
+            for q, c, m in zip(points, found, multiples)
+            if not isinstance(m, Undecided) and isinstance(c, Undecided)
         ]
         checks.append({"n": n, "quotient_size": gamma.gamma_mod(n).size, "purity": purity})
     return {

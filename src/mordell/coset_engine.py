@@ -234,8 +234,7 @@ def member(
         raise InputError(f"expected {u.n} points, got {len(points)}")
     desc = u.gamma.gamma_mod(u.modulus)
     vecs = []
-    for p in points:
-        c = u.gamma.decompose(p, bound)
+    for c in u.gamma.decompose_many(points, bound):
         if isinstance(c, Undecided):
             return c
         vecs.append(desc.reduce(c))

@@ -15,7 +15,7 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, PreconditionError, QuotientCeilingError, SpecValidationError
 from . import group_core
@@ -27,12 +27,12 @@ from .group_core import (
     TORSION_EXPONENT,
     TorsionGroup,
     _add_raw,
+    _multiple,
     good_reduction,
     group_structure,
     is_identity,
     is_torsion,
     naive_height,
-    scalar_mul,
     validate_backend,
 )
 from .records import record
@@ -113,14 +113,14 @@ class Histogram(NamedTuple):
 class GammaSpec:
     """A finitely generated subgroup of a backend group, with coordinates.
 
-    Construction splits the generator list into free and torsion parts by
-    the order scan of point_order, which settles a point of infinite order
-    at its first non-integral multiple, closes the torsion part into an
-    explicit finite group, and audits the free part for small integer
-    dependencies by reduction mod two good primes, summing exactly only the
-    rare vectors that vanish at both.  Instances are immutable after
-    construction except for two caches: generator multiples k*g and
-    realized sums.
+    Construction reduces the generators mod two good primes and splits them
+    into free and torsion parts: g is free when e*g (e kills all rational
+    torsion) is not O mod either prime, and point_order decides the rest.
+    It closes the torsion part into an explicit finite group and audits the
+    free part for small integer dependencies with the same products,
+    summing exactly only the rare vectors that vanish at both primes.
+    Instances are immutable after construction except for two caches:
+    generator multiples k*g and realized sums.
 
     Gamma is infinite, so every search over it is bounded: `ceiling` caps
     each coefficient box, decompose shell and quotient enumerated over it,
@@ -141,17 +141,25 @@ class GammaSpec:
         self.label = label
         self.audit_bound = DEFAULT_AUDIT_BOUND
         self.ceiling = ceiling
-        free: list[GroupPoint] = []
-        torsion_gens: list[GroupPoint] = []
+        # torsion points are integral on the integral model, so they leave the
+        # primes alone.  e kills all rational torsion (mu_4 on the circle) and
+        # reduction is a homomorphism: e*g != O at either prime proves g free
+        self._reds = tuple(itertools.islice(good_reduction(backend, generators), 2))
+        e = 4 if isinstance(backend, Circle) else TORSION_EXPONENT
+        free, torsion_gens, self._images, products = [], [], [], []
         for g in generators:
             if not group_core.on_variety(backend, g):
                 raise SpecValidationError(
                     f"generator {group_core.format_point(g)} is not on the variety"
                 )
-            if is_torsion(backend, g):
-                torsion_gens.append(g)
-            else:
+            img = tuple(red.point(g) for red in self._reds)
+            h = tuple(red.mul(e, i) for red, i in zip(self._reds, img))
+            if h != (None, None) or not is_torsion(backend, g):
                 free.append(g)
+                self._images.append(img)
+                products.append(h)
+            else:
+                torsion_gens.append(g)
         self.free_gens: tuple[GroupPoint, ...] = tuple(free)
         self.torsion: TorsionGroup = group_structure(
             backend, _span(backend, torsion_gens)
@@ -165,93 +173,84 @@ class GammaSpec:
         self._gens = self.free_gens + self.torsion.generators
         self._mults: dict[tuple[int, int], GroupPoint] = {}  # (i, k) -> k*_gens[i]
         self._realized: dict[tuple[tuple[int, ...], tuple[int, ...]], GroupPoint] = {}
-        # the generators reduced mod the first two good primes, for _matches
-        self._reds = tuple(itertools.islice(good_reduction(backend, self.free_gens), 2))
-        self._images = [tuple(red.point(g) for red in self._reds) for g in self._gens]
-        self._audit_free_generators()
+        self._images += [tuple(red.point(g) for red in self._reds) for g in self.torsion.generators]
+        self._audit_free_generators(products)
 
     # -- construction helpers ------------------------------------------------
 
-    def _audit_free_generators(self) -> None:
+    def _audit_free_generators(self, products) -> None:
         """Raise on the least relation in shell order: a nonzero k with
-        |k_i| <= audit_bound and k_1*g_1 + ... + k_r*g_r torsion.
-
-        e kills every rational torsion point (TORSION_EXPONENT on curves, 4
-        on the circle, whose rational torsion is mu_4), so a relation has
-        sum k_i*h_i, h_i = e*g_i, zero mod both good primes.  Only the vectors
-        _matches finds are summed exactly, in shell order."""
-        e = 4 if isinstance(self.backend, Circle) else TORSION_EXPONENT
-        images = [self._row(img, e, 1, 1)[1] for img in self._images[: self.rank]]  # the h_i
+        |k_i| <= audit_bound and k_1*g_1 + ... + k_r*g_r torsion.  Its sum
+        of k_i*h_i, h_i = e*g_i reduced (products, from the generator split),
+        is zero mod both good primes; only the vectors _matches finds are
+        summed exactly, in shell order."""
         b, tors = self.audit_bound, (0,) * len(self.torsion_factors)
         # the zero vector comes first, alone in shell 0
-        for k in self._matches(images, [(-b, b)] * self.rank, (None, None))[1:]:
+        for k in self._matches(products, [(-b, b)] * self.rank)((None, None))[1:]:
             if is_torsion(self.backend, self.realize(Coords(k, tors))):
                 rel = " + ".join(f"{ki}*g{i+1}" for i, ki in enumerate(k) if ki)
                 raise SpecValidationError(
                     f"free generators fail the independence audit: {rel} is torsion"
                 )
 
-    def _matches(self, images, ranges, target) -> list[tuple[int, ...]]:
-        """Every integer vector c with lo_i <= c_i <= hi_i, (lo_i, hi_i) =
-        ranges[i], whose sum c_1*images[1] + ... is target mod both good
-        primes, in shell order: max-norm of the first rank entries, then
-        lexicographic.
+    def _matches(self, images, ranges) -> Callable[[tuple], list[tuple[int, ...]]]:
+        """A search: reduced target -> every integer vector c with lo_i <=
+        c_i <= hi_i, (lo_i, hi_i) = ranges[i], whose sum c_1*images[1] + ...
+        is the target mod both good primes, in shell order: max-norm of the
+        first rank entries, then lexicographic.
 
         Baby-step giant-step (Shanks): c_i = a_i + s_i*b_i with p_i <= a_i <
         p_i + s_i, the strides s_i chosen so that the a-vectors and the
-        b-vectors each number about the square root of the box.  The reduced
-        sums of the a-vectors are tabulated, and each b-vector looks up
-        target - sum s_i*b_i*images[i].  p_i keeps a_i near 0, where its
-        multiples cost least."""
-        strides, left = [], math.isqrt(math.prod(hi - lo + 1 for lo, hi in ranges))
+        b-vectors each number about the square root of the box; p_i keeps
+        a_i near 0.  The sums of the a-vectors are tabulated and those of
+        -s_i*b_i formed once, so a target costs one addition per b-vector mod
+        the first prime, and one mod the second only on a hit there."""
+        strides, babies, giants = [], [], []
+        left = math.isqrt(math.prod(hi - lo + 1 for lo, hi in ranges))
         for lo, hi in ranges:
-            strides.append(min(hi - lo + 1, left))
-            left = -(-left // strides[-1])
-        starts = [max(lo, -(s // 2)) for (lo, _), s in zip(ranges, strides)]
-        table: dict[tuple, list[tuple[int, ...]]] = {}
-        babies = [self._row(img, 1, p, p + s - 1) for img, p, s in zip(images, starts, strides)]
-        for a, key in self._sums(babies, (None, None)).items():
-            table.setdefault(key, []).append(a)
-        giants = [
-            self._row(img, -s, (lo - p) // s, (hi - p) // s)
-            for img, (lo, hi), p, s in zip(images, ranges, starts, strides)
-        ]
-        found = [
-            c
-            for b, key in self._sums(giants, target).items()
-            for a in table.get(key, ())
-            for c in [tuple(ai + s * bi for ai, s, bi in zip(a, strides, b))]
-            if all(lo <= ci <= hi for ci, (lo, hi) in zip(c, ranges))
-        ]
-        return sorted(found, key=lambda c: (max(map(abs, c[: self.rank]), default=0), c))
-
-    def _row(self, img, step: int, lo: int, hi: int) -> dict[int, tuple]:
-        """k -> k*step*img for lo <= k <= hi, at both primes: the positive
-        multiples by successive addition, the negative ones by negation."""
+            s = min(hi - lo + 1, left)
+            left, p = -(-left // s), max(lo, -(s // 2))
+            strides.append(s)
+            babies.append(range(p, p + s))
+            giants.append(range((lo - p) // s, (hi - p) // s + 1))
+        table: dict = {}
+        for a, s1, s2 in self._sums(images, babies, [1] * len(ranges)):
+            table.setdefault(s1, {}).setdefault(s2, []).append(a)
+        giants = self._sums(images, giants, [-s for s in strides])
         red1, red2 = self._reds
-        n = max(-lo, hi)
-        d1, d2 = (red1.mul(step, img[0]), red2.mul(step, img[1])) if n else (None, None)
-        pos = [(None, None)]
-        while len(pos) <= n:
-            s1, s2 = pos[-1]
-            pos.append((red1.add(s1, d1), red2.add(s2, d2)))
-        return {
-            k: pos[k] if k >= 0 else (red1.mul(-1, pos[-k][0]), red2.mul(-1, pos[-k][1]))
-            for k in range(lo, hi + 1)
-        }
 
-    def _sums(self, rows, start) -> dict[tuple[int, ...], tuple]:
-        """Every vector k with k_i in rows[i], lexicographic, mapped to
-        start + rows[1][k_1] + ... at both primes."""
-        red1, red2 = self._reds
-        sums = {(): start}
-        for row in rows:
-            sums = {
-                v + (k,): (red1.add(s1, r1), red2.add(s2, r2))
-                for v, (s1, s2) in sums.items()
-                for k, (r1, r2) in row.items()
-            }
-        return sums
+        def search(target):
+            t1, t2 = target
+            found = [
+                c
+                for b, g1, g2 in giants
+                for by_second in [table.get(red1.add(t1, g1))]
+                if by_second
+                for a in by_second.get(red2.add(t2, g2), ())
+                for c in [tuple(ai + s * bi for ai, s, bi in zip(a, strides, b))]
+                if all(lo <= ci <= hi for ci, (lo, hi) in zip(c, ranges))
+            ]
+            return sorted(found, key=lambda c: (max(map(abs, c[: self.rank]), default=0), c))
+
+        return search
+
+    def _sums(self, images, ranges, steps) -> list[tuple]:
+        """(k, sum mod the first good prime, sum mod the second) for every
+        vector k with k_i in ranges[i] (ranges holding 0), lexicographic, the
+        sum being k_1*steps[1]*images[1] + ... reduced: multiples k >= 0 by
+        successive addition, k < 0 by negation, and O is never added in."""
+        out = [list(itertools.product(*ranges))]
+        for j, red in enumerate(self._reds):
+            sums = [None]
+            for img, ks, step in zip(images, ranges, steps):
+                n = max(-ks[0], ks[-1])
+                pos = [None, red.mul(step, img[j]) if n else None]
+                while len(pos) <= n:
+                    pos.append(red.add(pos[-1], pos[1]))
+                row = [pos[k] if k >= 0 else red.neg(pos[-k]) for k in ks]
+                sums = [red.add(s, r) if s and r else s or r for s in sums for r in row]
+            out.append(sums)
+        return list(zip(*out))
 
     # -- basic structure -------------------------------------------------------
 
@@ -296,7 +295,7 @@ class GammaSpec:
             if c:
                 mult = self._mults.get((i, c))
                 if mult is None:
-                    mult = self._mults[i, c] = scalar_mul(self.backend, c, self._gens[i])
+                    mult = self._mults[i, c] = _multiple(self.backend, c, self._gens[i])
                 acc = _add_raw(self.backend, acc, mult)
         self._realized[key] = acc
         return acc
@@ -345,34 +344,42 @@ class GammaSpec:
     # -- decompose and friends ----------------------------------------------------
 
     def decompose(self, p: GroupPoint, bound: int = DEFAULT_COEFF_BOUND) -> Coords | Undecided:
-        """Find coords realizing p with all |free coefficients| <= bound;
-        Undecided(bound) when the box is exhausted.
+        """decompose_many of the one point p."""
+        return next(self.decompose_many([p], bound))
+
+    def decompose_many(
+        self, points: Iterable[GroupPoint], bound: int = DEFAULT_COEFF_BOUND
+    ) -> Iterator[Coords | Undecided]:
+        """Coords realizing each point in turn with all |free coefficients| <=
+        bound, or Undecided(bound); lazily, so an error comes at its point.
 
         Reduction is a homomorphism, so the coords of p are among those whose
-        reduced sum is p mod both good primes (_matches), and only those are
-        realized, in shell order; the first that realizes p exactly is the
-        minimal-norm representative.  The search covers the shells m <= m*,
-        m* the largest whose box (2m+1)^rank * |torsion| fits the ceiling;
-        with no hit there and m* < bound, shell m* + 1 raises
-        QuotientCeilingError."""
+        reduced sum is p mod both good primes (_matches, one baby-step table
+        for all the points), and only those are realized, in shell order;
+        the first that realizes p exactly is the minimal-norm representative.
+        The search covers the shells m <= m*, m* the largest whose box
+        (2m+1)^rank * |torsion| fits the ceiling; with no hit there and
+        m* < bound, shell m* + 1 raises QuotientCeilingError."""
         if bound < 0:
             raise InputError("coefficient bound must be >= 0")
-        group_core._require_on_variety(self.backend, p)
         r, factors = self.rank, self.torsion_factors
         # m*, -1 when not even shell 0 fits
         top = bisect.bisect_right(
             range(bound + 1), self.ceiling, key=lambda m: (2 * m + 1) ** r * math.prod(factors)
         ) - 1
         if top >= 0:
-            ranges = [(-top, top)] * r + [(0, d - 1) for d in factors]
-            for c in self._matches(self._images, ranges, tuple(red.point(p) for red in self._reds)):
-                coords = Coords(c[:r], c[r:])
-                if self.realize(coords) == p:
-                    return coords
-        if top < bound:
-            # the box of shell m* + 1
-            self.check_ceiling((2 * top + 3) ** r * math.prod(factors), "decompose shell")
-        return Undecided(bound)
+            search = self._matches(self._images, [(-top, top)] * r + [(0, d - 1) for d in factors])
+        for p in points:
+            group_core._require_on_variety(self.backend, p)
+            for c in search(tuple(red.point(p) for red in self._reds)) if top >= 0 else ():
+                if self.realize(Coords(c[:r], c[r:])) == p:
+                    yield Coords(c[:r], c[r:])
+                    break
+            else:
+                if top < bound:
+                    # the box of shell m* + 1
+                    self.check_ceiling((2 * top + 3) ** r * math.prod(factors), "decompose shell")
+                yield Undecided(bound)
 
     def divisible_in_gamma(
         self, p: GroupPoint, n: int, bound: int = DEFAULT_COEFF_BOUND
@@ -421,8 +428,7 @@ class GammaSpec:
         if not points:
             raise InputError("need at least one point")
         cols = []
-        for idx, p in enumerate(points):
-            c = self.decompose(p, bound)
+        for idx, c in enumerate(self.decompose_many(points, bound)):
             if isinstance(c, Undecided):
                 raise PreconditionError(
                     f"point {idx + 1} of {len(points)} does not decompose at "

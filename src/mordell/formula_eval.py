@@ -247,6 +247,11 @@ def _head(node: _Node) -> str | None:
     return node.items[0].text
 
 
+def _found(node: _Node) -> str:
+    """What a builder found where it wanted a polynomial or a condition."""
+    return repr(_head(node) or node.text) if node.is_atom or _head(node) else "a list"
+
+
 def _scan_vars(node: _Node, in_block_n: int | None, seen: dict) -> None:
     """Record the largest x index and block count; validate y usage and
     block shape."""
@@ -338,9 +343,7 @@ def _build_poly(node: _Node, arity: int, s: int) -> MultiPoly:
                 "exponent must be a positive integer", exp.line, exp.col
             )
         return _build_poly(args[0], arity, s) ** e
-    raise ParseError(
-        f"expected a polynomial, got {head or node.text!r}", node.line, node.col
-    )
+    raise ParseError(f"expected a polynomial, got {_found(node)}", node.line, node.col)
 
 
 def _build_qf(node: _Node, arity: int, s: int) -> FormulaNode:
@@ -370,9 +373,7 @@ def _build_qf(node: _Node, arity: int, s: int) -> FormulaNode:
         # _scan_vars forbids nesting, so this is reached at arity s only
         n = parse_integer(node.items[1].text)
         return Block(n, _build_qf(node.items[2], s + 2 * n, s))
-    raise ParseError(
-        f"expected a condition, got {head or node.text!r}", node.line, node.col
-    )
+    raise ParseError(f"expected a condition, got {_found(node)}", node.line, node.col)
 
 
 def _scan(text: str, free_arity: int | None) -> tuple[_Node, int, int]:

@@ -173,9 +173,14 @@ def scalar_mul(backend: Backend, k: int, p: GroupPoint) -> GroupPoint:
     if not isinstance(k, int):
         raise InputError(f"scalar must be an int, got {type(k).__name__}")
     _require_on_variety(backend, p)
-    if k < 0:
-        p = negate(backend, p)
-        k = -k
+    return _multiple(backend, k, p)
+
+
+def _multiple(backend: Backend, k: int, p: GroupPoint) -> GroupPoint:
+    """k*p for a point p already known to lie on the variety."""
+    if k < 0 and not is_identity(p):
+        p = _normalize(backend, Affine(p.x, -p.y))
+    k = abs(k)
     if isinstance(backend, Curve):
         return _curve_multiple(backend, k, p)
     # circle heights grow linearly in k, so plain Fraction steps stay cheap
@@ -467,11 +472,12 @@ class Reduction(NamedTuple):
         x3 = (lam * lam - x1 - x2) % ell
         return x3, (lam * (x1 - x3) - y1) % ell
 
+    def neg(self, p):
+        return None if p is None else (p[0], -p[1] % self.ell)
+
     def mul(self, k: int, p):
         if k < 0:
-            k = -k
-            if p is not None:
-                p = (p[0], -p[1] % self.ell)
+            k, p = -k, self.neg(p)
         acc = None
         while k:
             if k & 1:

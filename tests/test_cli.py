@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from mordell import cli, group_core
-from mordell.errors import InputError
+from mordell import cli, coset_engine, group_core
+from mordell.errors import InputError, QuotientCeilingError
+from mordell.fg_group import DEFAULT_QUOTIENT_CEILING, Undecided
+from mordell.group_core import enumerate_rational_points, format_point, scalar_mul
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -345,6 +348,85 @@ def test_decompose_searches_shells_under_ceiling(spec, args, code, out, spec_dir
     assert (rc, got) == (code, out)
     if code == 3:
         assert err.splitlines() == ["error: decompose shell of size 23 exceeds ceiling 21"]
+
+
+def _per_point_purity(gamma, points, n_max, bound):
+    """The purity checks of axioms as one decompose call per point, n*q
+    first and q only when n*q decomposes."""
+    checks = []
+    for n in range(1, n_max + 1):
+        purity = [
+            format_point(q)
+            for q in points
+            if not isinstance(gamma.decompose(scalar_mul(gamma.backend, n, q), bound), Undecided)
+            and isinstance(gamma.decompose(q, bound), Undecided)
+        ]
+        checks.append({"n": n, "quotient_size": gamma.gamma_mod(n).size, "purity": purity})
+    return checks
+
+
+def _per_point_member(u, points, bound):
+    vecs = []
+    for p in points:
+        c = u.gamma.decompose(p, bound)
+        if isinstance(c, Undecided):
+            return "undecided"
+        vecs.append(u.gamma.gamma_mod(u.modulus).reduce(c))
+    return tuple(vecs) in u.residue_set()
+
+
+def _per_point_or_error(run):
+    try:
+        return 0, run()
+    except QuotientCeilingError as exc:
+        return 3, f"error: {exc}"
+
+
+@pytest.mark.parametrize(
+    "spec,height,n_max,ceiling,code",
+    [
+        ("m2-2p.json", 30, 3, DEFAULT_QUOTIENT_CEILING, 0),
+        ("c17.json", 60, 3, DEFAULT_QUOTIENT_CEILING, 0),
+        ("circ.json", 20, 3, DEFAULT_QUOTIENT_CEILING, 0),
+        # (3, 5) is outside <2P>, and shell 11 exceeds the ceiling of 21
+        ("m2-2p.json", 3, 2, 21, 3),
+        # every q decomposes in the box of 11^2, but some 3*q does not
+        ("c17.json", 7, 3, 121, 3),
+    ],
+)
+def test_batched_decompose_answers_as_a_per_point_loop(spec, height, n_max, ceiling, code, spec_dir, capsys):
+    # axioms and coset member decompose their points in one batch each; the
+    # records and the exit-3 errors are those of one call per point
+    path = str(spec_dir / spec)
+    common = ["--spec", path, "--ceiling", str(ceiling), "--machine"]
+    gamma = cli.load_group_spec(path, ceiling)
+    points = enumerate_rational_points(gamma.backend, height)
+    args = ["axioms", "--n-max", str(n_max), "--height", str(height), "--bins", "2", *common]
+    rc, out, err = run_cli(capsys, args)
+    want_rc, want = _per_point_or_error(lambda: _per_point_purity(gamma, points, n_max, 16))
+    assert (rc, want_rc) == (code, code)
+    assert (json.loads(out)["checks"], err) == (want, "") if code == 0 else (out, err) == ("", want + "\n")
+    u = coset_engine.dke(gamma, (1, 1), 2)
+    for pair in itertools.permutations(points[:4], 2):
+        rc, out, err = run_cli(
+            capsys, ["coset", "member", "--char", "1,1", "--exponent", "2", *map(format_point, pair), *common]
+        )
+        want_rc, want = _per_point_or_error(lambda: _per_point_member(u, pair, 16))
+        assert rc == want_rc
+        assert (json.loads(out)["result"], err) == (want, "") if rc == 0 else (out, err) == ("", want + "\n")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["eval", "((= x1 0))"], "line 1, column 1: expected a condition, got a list"),
+        (["eval", "()"], "line 1, column 1: expected a condition, got a list"),
+        (["ml", "solve", "((x1))", "--slots", "1"], "line 1, column 1: expected a polynomial, got a list"),
+    ],
+)
+def test_a_list_where_a_head_belongs_is_named(args, message, spec_dir, capsys):
+    rc, out, err = run_cli(capsys, _argv(spec_dir, "m2.json", args, []))
+    assert (rc, out, err.splitlines()) == (2, "", [f"error: {message}"])
 
 
 def test_ml_verify_decomposition_inline(spec_dir, capsys):
@@ -1021,8 +1103,9 @@ def test_machine_golden_in_a_fresh_process(name, spec, args, spec_dir):
     assert proc.stdout == (GOLDEN / f"{name}.machine.jsonl").read_text()
 
 
-# modules only some commands need (hashlib: axioms --cache-dir), and one none needs
-_OPTIONAL = ["mordell.formula_eval", "mordell.ml_checker", "mordell.coset_engine", "hashlib", "dataclasses"]
+# modules only some commands need, and ones none needs: the point cache names
+# its files by CRC-32, so no command loads hashlib or OpenSSL's _hashlib
+_OPTIONAL = ["mordell.formula_eval", "mordell.ml_checker", "mordell.coset_engine", "hashlib", "_hashlib", "dataclasses"]
 
 # run `mordell ARGS`, if any, in a fresh interpreter, then print which of the
 # given modules it loaded beyond those loaded at interpreter start-up
@@ -1045,11 +1128,13 @@ print(json.dumps(sorted(m for m in watched if m in sys.modules and m not in befo
         (["point", "add", "(3, 5)", "(3, 5)"], []),
         (["density", "--lo", "0", "--hi", "10", "--bins", "4", "--height", "150"], []),
         (["axioms", "--n-max", "1", "--height", "10"], []),
+        (["axioms", "--n-max", "1", "--height", "10", "--cache-dir", "{tmp}"], []),
         (["eval", "(exists-gamma 1 (= x1 y1))", "--x", "3"], ["mordell.formula_eval"]),
     ],
-    ids=["import", "curve-info", "point-add", "density", "axioms", "eval"],
+    ids=["import", "curve-info", "point-add", "density", "axioms", "axioms-cache-dir", "eval"],
 )
-def test_commands_import_only_what_they_use(args, loaded, spec_dir):
+def test_commands_import_only_what_they_use(args, loaded, spec_dir, tmp_path):
+    args = [a.format(tmp=tmp_path) for a in args]
     argv = [*args, "--spec", str(spec_dir / "m2.json"), "--machine"] if args else []
     proc = _fresh_python(["-c", _PROBE, json.dumps(_OPTIONAL), *argv], check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == loaded

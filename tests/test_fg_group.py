@@ -7,7 +7,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mordell.errors import (
     InputError,
@@ -16,7 +16,7 @@ from mordell.errors import (
     SpecValidationError,
 )
 from mordell import cli, fg_group, group_core
-from mordell.fg_group import Coords, GammaSpec, Undecided, shell
+from mordell.fg_group import Coords, GammaSpec, Undecided, _span, shell
 from mordell.group_core import (
     IDENTITY,
     Circle,
@@ -311,6 +311,94 @@ def test_decompose_matches_shell_search(name, mode, bound, data):
     else:
         got = gamma.decompose(p, bound)
     assert got == shell_search_decompose(GammaSpec(backend, gens), p, bound)
+
+
+_BATCH_GROUPS = {name: _DECOMPOSE_GROUPS[name] for name in ("c17", "m2-2p", "circ", "c36")}
+# every rational torsion point of each backend, whether in the group or not
+_TORSION = {
+    name: _span(b, group_core.torsion_subgroup(b).generators) for name, (b, _) in _BATCH_GROUPS.items()
+}
+
+
+def _outcomes(results):
+    """The results of a lazy decompose, up to and including the error that
+    ends it, as values and error texts."""
+    out = []
+    try:
+        for r in results:
+            out.append(r)
+    except QuotientCeilingError as exc:
+        out.append(str(exc))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_BATCH_GROUPS)),
+    st.sampled_from(["default", "small primes"]),
+    st.integers(0, 5),
+    st.data(),
+)
+def test_decompose_many_matches_shell_search_point_by_point(name, primes, bound, data):
+    # one baby-step table serves the whole batch, so members, non-members,
+    # torsion points and the identity share it in any order
+    backend, gens = _BATCH_GROUPS[name]
+    start = data.draw(st.integers(3, 50), label="start") if primes == "small primes" else 10007
+    with mock.patch.object(fg_group, "good_reduction", partial(group_core.good_reduction, start=start)):
+        gamma = GammaSpec(backend, gens)
+    kinds = st.sampled_from(["member", "non-member", "torsion", "identity"])
+    points = []
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=6), label="kinds"):
+        if kind == "member":
+            free = tuple(data.draw(st.integers(-7, 7)) for _ in range(gamma.rank))
+            tors = tuple(data.draw(st.integers(0, d - 1)) for d in gamma.torsion_factors)
+            points.append(gamma.realize(Coords(free, tors)))
+        else:
+            pool = {"non-member": _NON_MEMBERS[name], "torsion": _TORSION[name], "identity": [IDENTITY]}[kind]
+            points.append(data.draw(st.sampled_from(pool)))
+    oracle = GammaSpec(backend, gens)
+    assert list(gamma.decompose_many(points, bound)) == [shell_search_decompose(oracle, p, bound) for p in points]
+    # under a ceiling the batch stops where a per-point loop first raises
+    ceiling = data.draw(st.integers(1, 200), label="ceiling")
+    capped = GammaSpec(backend, gens, ceiling=ceiling)
+    per_point = _outcomes(GammaSpec(backend, gens, ceiling=ceiling).decompose(p, bound) for p in points)
+    assert _outcomes(capped.decompose_many(points, bound)) == per_point
+
+
+@settings(max_examples=80, deadline=None)
+@given(_audit_spec(), st.sampled_from([10007, 5]))
+def test_generator_split_by_reduction_matches_exact_order_scan(case, start):
+    # e*g != O mod either prime proves g free; mod 7 and 11 most products
+    # vanish at both primes, so the exact order scan decides there
+    backend, gens = case
+    with mock.patch.object(fg_group, "good_reduction", partial(group_core.good_reduction, start=start)):
+        try:
+            gamma = GammaSpec(backend, gens)
+        except SpecValidationError:
+            assume(False)
+    free = [g for g in gens if not group_core.is_torsion(backend, g)]
+    assert gamma.free_gens == tuple(free)
+    tors = [g for g in gens if group_core.is_torsion(backend, g)]
+    assert gamma.torsion == group_core.group_structure(backend, _span(backend, tors))
+
+
+def test_generators_whose_products_vanish_take_the_exact_order_scan():
+    # y^2 = x^3 - 36x has 8 points mod 7 and 12 mod 11, so 27720 kills every
+    # reduced point there, and each generator falls back on the exact scan
+    backend, gens = _DECOMPOSE_GROUPS["c36"]
+    small = partial(group_core.good_reduction, start=5)
+    with mock.patch.object(fg_group, "good_reduction", small), mock.patch.object(
+        fg_group, "is_torsion", wraps=group_core.is_torsion
+    ) as scan:
+        gamma = GammaSpec(backend, gens)
+    assert [red.ell for red in gamma._reds] == [7, 11]
+    # the split's scans come first; the audit's follow
+    assert [c.args[1] for c in scan.call_args_list][:3] == gens
+    assert (gamma.rank, gamma.torsion_factors) == (1, (2, 2))
+    # at the default primes the free generator is settled by reduction
+    with mock.patch.object(fg_group, "is_torsion", wraps=group_core.is_torsion) as scan:
+        GammaSpec(backend, gens)
+    assert [c.args[1] for c in scan.call_args_list][:2] == gens[1:]
 
 
 def _unimodular(data, r):

@@ -112,7 +112,8 @@ def test_ml_decomposition_validation_message():
 
 
 def test_point_cache_key_is_unchanged(tmp_path):
-    # the key embeds repr(backend); files written before still hit
+    # the key embeds repr(backend); the file is named by the key's CRC-32,
+    # so a file written under the former SHA-256 name is a miss once
     key, path = cli.PointCache(tmp_path)._key_path(make_curve(0, -2), 30)
     assert key == "v2 Curve(a=Fraction(0, 1), b=Fraction(-2, 1)) h=30"
-    assert path == tmp_path / "points-4025de12b12fb255.json"
+    assert path == tmp_path / "points-6d200d58.json"
